@@ -29,7 +29,7 @@ test-race:
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzPlanRoundTrip$$' -fuzztime 10s ./internal/core
 	$(GO) test -run '^$$' -fuzz '^FuzzSwapDeltaMerge$$' -fuzztime 10s ./internal/coverage
-	$(GO) test -run '^$$' -fuzz '^FuzzCompressedContainers$$' -fuzztime 10s ./internal/bitset
+	$(GO) test -run '^$$' -fuzz '^FuzzParseTraceparent$$' -fuzztime 10s ./internal/obs
 
 vet:
 	$(GO) vet ./...

@@ -34,7 +34,7 @@ func TestBLSDeadlineNYCScale(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
 	defer cancel()
 	start := time.Now()
-	res := mroam.BLSCtx(ctx, inst, mroam.SearchOptions{Restarts: 10, Seed: 7})
+	res := mroam.SolveAnytime(ctx, bls(mroam.SearchOptions{Restarts: 10, Seed: 7}), inst)
 	elapsed := time.Since(start)
 
 	if !res.Truncated {
@@ -62,7 +62,7 @@ func TestBLSDeadlineNYCScale(t *testing.T) {
 	want := mroam.BLS(small, opts)
 	for _, workers := range []int{2, 4} {
 		opts.Workers = workers
-		got := mroam.BLSCtx(context.Background(), small, opts)
+		got := mroam.SolveAnytime(context.Background(), bls(opts), small)
 		if got.Truncated {
 			t.Fatalf("workers=%d: background-context solve reported truncated", workers)
 		}
@@ -71,6 +71,11 @@ func TestBLSDeadlineNYCScale(t *testing.T) {
 				workers, got.TotalRegret, got.Plan.Evals(), want.TotalRegret(), want.Evals())
 		}
 	}
+}
+
+// bls returns the facade's BLS algorithm, the last of the paper's four.
+func bls(opts mroam.SearchOptions) mroam.Algorithm {
+	return mroam.Algorithms(opts)[3]
 }
 
 // nycInstance builds a synthetic NYC instance at the given scale with the

@@ -12,6 +12,7 @@
 package mroam_test
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"testing"
@@ -413,11 +414,11 @@ func BenchmarkAblation_GridCellSize(b *testing.B) {
 // the per-method numbers behind Figures 8-9's ordering claim.
 func BenchmarkSolvers(b *testing.B) {
 	inst := ablationInstance(b)
-	for _, alg := range mroam.Algorithms(benchSeed, benchRestarts) {
+	for _, alg := range mroam.Algorithms(mroam.SearchOptions{Seed: benchSeed, Restarts: benchRestarts}) {
 		b.Run(alg.Name(), func(b *testing.B) {
 			var regret float64
 			for i := 0; i < b.N; i++ {
-				regret = alg.Solve(inst).TotalRegret()
+				regret = mroam.SolveAnytime(context.Background(), alg, inst).TotalRegret
 			}
 			b.ReportMetric(regret, "regret")
 		})
@@ -462,7 +463,7 @@ func BenchmarkSimulation_PolicyComparison(b *testing.B) {
 		Gamma:            market.DefaultGamma,
 		Seed:             benchSeed,
 	}
-	algs := mroam.Algorithms(benchSeed, 1)
+	algs := mroam.Algorithms(mroam.SearchOptions{Seed: benchSeed, Restarts: 1})
 	b.ResetTimer()
 	var results map[string]*mroam.SimulationResult
 	for i := 0; i < b.N; i++ {

@@ -231,7 +231,7 @@ func cmdSolve(args []string, out io.Writer) error {
 	if tw != nil {
 		// Tracing runs through the anytime engine so the done record can
 		// carry the truncation flag and aggregated cache counters; the
-		// result is bit-identical to the plain alg.Solve path.
+		// result is bit-identical to the untraced path.
 		tw.Start(alg.Name(), s.Seed, *restarts)
 		start := time.Now()
 		res := core.SolveAnytime(context.Background(), alg, inst)
@@ -393,7 +393,7 @@ func cmdSim(args []string, out io.Writer) error {
 		cfg.ZoneOf, cfg.ZoneCap = zoneOf, s.Model.ZoneCap
 		banner = fmt.Sprintf(", zonal: %d zones at %.0fm, cap %d", zones, s.Model.ZoneMeters, s.Model.ZoneCap)
 	}
-	results, err := simulate.ComparePolicies(u, core.PaperAlgorithms(s.Seed, *restarts), cfg)
+	results, err := simulate.ComparePolicies(u, core.PaperAlgorithms(core.LocalSearchOptions{Seed: s.Seed, Restarts: *restarts}), cfg)
 	if err != nil {
 		return err
 	}
@@ -440,12 +440,13 @@ func runChurnSim(out io.Writer, s catalog.Spec, d *dataset.Dataset, u *coverage.
 		days, d.Config.City, cfg.Advertisers, u.NumBillboards(), cfg.Restarts, banner)
 	fmt.Fprintf(out, "seed solve: regret %.1f (%d evals); each day: 1 removed, 1 revised, 1 added\n",
 		res.SeedRegret, res.SeedEvals)
-	tbl := report.NewTable("day", "cold regret", "warm regret", "cold evals", "warm evals", "frozen", "cold ms", "warm ms")
+	tbl := report.NewTable("day", "cold regret", "warm regret", "Δ regret", "cold evals", "warm evals", "frozen", "cold ms", "warm ms")
 	for _, day := range res.Days {
 		tbl.AddRow(
 			fmt.Sprintf("%d", day.Day),
 			fmt.Sprintf("%.1f", day.ColdRegret),
 			fmt.Sprintf("%.1f", day.WarmRegret),
+			fmt.Sprintf("%+.1f", day.RegretDelta()),
 			fmt.Sprintf("%d", day.ColdEvals),
 			fmt.Sprintf("%d", day.WarmEvals),
 			fmt.Sprintf("%d", day.Frozen),
@@ -459,8 +460,10 @@ func runChurnSim(out io.Writer, s catalog.Spec, d *dataset.Dataset, u *coverage.
 	if res.ColdEvals > 0 {
 		pct = 100 * float64(res.WarmEvals) / float64(res.ColdEvals)
 	}
-	fmt.Fprintf(out, "warm-start total: %d evals vs %d cold (%.0f%%), %.1fms vs %.1fms; regret matched cold on %d/%d days\n",
-		res.WarmEvals, res.ColdEvals, pct, res.WarmMillis, res.ColdMillis, res.MatchedDays, len(res.Days))
+	fmt.Fprintf(out, "warm-start total: %d evals vs %d cold (%.0f%%), %.1fms vs %.1fms\n",
+		res.WarmEvals, res.ColdEvals, pct, res.WarmMillis, res.ColdMillis)
+	fmt.Fprintf(out, "warm - cold regret: worse on %d, equal on %d, better on %d of %d days; largest daily worsening %.1f, total Δ %+.1f\n",
+		res.WorseDays, res.EqualDays, res.BetterDays, len(res.Days), res.MaxWorsening, res.RegretDelta)
 	return nil
 }
 
@@ -524,7 +527,7 @@ func cmdPlan(args []string, out io.Writer) error {
 	if err != nil {
 		return err
 	}
-	plan := alg.Solve(inst)
+	plan := alg.SolveCtx(context.Background(), inst).Plan
 	// Validate consults the instance's model, so this is the variant
 	// feasibility check (e.g. zonal per-zone caps) as well as the
 	// structural one — a solver returning an infeasible plan is a bug

@@ -16,6 +16,7 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -49,8 +50,8 @@ type Run struct {
 	CorridorListBytes int64   `json:"corridor_list_bytes"`
 	HeapBytes         uint64  `json:"heap_bytes"`
 	Advertisers       int     `json:"advertisers"`
-	CompressedSolveMS float64 `json:"compressed_solve_ms"`
-	CompressedRegret  float64 `json:"compressed_regret"`
+	CorridorSolveMS   float64 `json:"compressed_solve_ms"`
+	CorridorRegret    float64 `json:"compressed_regret"`
 	DenseSolveMS      float64 `json:"dense_solve_ms,omitempty"`
 	DenseRegret       float64 `json:"dense_regret,omitempty"`
 	// RegretMatch is set (and must be true) when the dense baseline ran.
@@ -200,18 +201,18 @@ func benchOne(out io.Writer, city string, trajectories int, seed uint64, restart
 			return 0, 0, 0, err
 		}
 		t := time.Now()
-		plan := alg.Solve(inst)
+		plan := alg.SolveCtx(context.Background(), inst).Plan
 		return msSince(t), plan.TotalRegret(), inst.NumAdvertisers(), nil
 	}
 
 	var regret float64
-	r.CompressedSolveMS, regret, r.Advertisers, err = solve(compressed)
+	r.CorridorSolveMS, regret, r.Advertisers, err = solve(compressed)
 	if err != nil {
 		return Run{}, err
 	}
-	r.CompressedRegret = regret
+	r.CorridorRegret = regret
 	fmt.Fprintf(out, "[%s |T|=%d] compressed BLS: %.0fms, regret %.1f (|A|=%d)\n",
-		city, trajectories, r.CompressedSolveMS, regret, r.Advertisers)
+		city, trajectories, r.CorridorSolveMS, regret, r.Advertisers)
 
 	if withDense {
 		denseMS, denseRegret, _, err := solve(dense)

@@ -44,7 +44,7 @@ func TestBenchSmallLadder(t *testing.T) {
 		if r.RegretMatch == nil || !*r.RegretMatch {
 			t.Errorf("|T|=%d: dense baseline missing or mismatched", r.Trajectories)
 		}
-		if r.BuildMS <= 0 || r.CompressedSolveMS <= 0 {
+		if r.BuildMS <= 0 || r.CorridorSolveMS <= 0 {
 			t.Errorf("|T|=%d: missing timings %+v", r.Trajectories, r)
 		}
 	}

@@ -40,7 +40,7 @@ func main() {
 		Seed:             seed,
 	}
 
-	results, err := mroam.ComparePolicies(u, mroam.Algorithms(seed, 2), cfg)
+	results, err := mroam.ComparePolicies(u, mroam.Algorithms(mroam.SearchOptions{Seed: seed, Restarts: 2}), cfg)
 	if err != nil {
 		log.Fatal(err)
 	}

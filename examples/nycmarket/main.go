@@ -12,6 +12,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -47,8 +48,8 @@ func main() {
 		}
 		fmt.Printf("α = %.0f%% — %d advertisers, total demand %d vs supply %d\n",
 			alpha*100, inst.NumAdvertisers(), inst.TotalDemand(), u.TotalSupply())
-		for _, alg := range mroam.Algorithms(seed, 3) {
-			plan := alg.Solve(inst)
+		for _, alg := range mroam.Algorithms(mroam.SearchOptions{Seed: seed, Restarts: 3}) {
+			plan := mroam.SolveAnytime(context.Background(), alg, inst).Plan
 			excess, unsat := plan.Breakdown()
 			fmt.Printf("  %-8s regret %8.1f  (waste %7.1f, unsatisfied %7.1f, satisfied %d/%d)\n",
 				alg.Name(), plan.TotalRegret(), excess, unsat,

@@ -10,6 +10,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -62,8 +63,8 @@ func main() {
 	fmt.Printf("Strategy 2: regret %.2f (all satisfied: %v)\n", s2.TotalRegret(), s2.SatisfiedCount() == 3)
 
 	// The algorithms find the zero-regret deployment on their own.
-	for _, alg := range mroam.Algorithms(1, 5) {
-		plan := alg.Solve(inst)
+	for _, alg := range mroam.Algorithms(mroam.SearchOptions{Seed: 1, Restarts: 5}) {
+		plan := mroam.SolveAnytime(context.Background(), alg, inst).Plan
 		fmt.Printf("%-8s → regret %.2f, satisfied %d/3\n",
 			alg.Name(), plan.TotalRegret(), plan.SatisfiedCount())
 	}

@@ -12,6 +12,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math/rand"
@@ -71,8 +72,8 @@ func main() {
 	fmt.Printf("operators: total demand %d (α = %.0f%%)\n\n",
 		inst.TotalDemand(), inst.DemandSupplyRatio()*100)
 
-	for _, alg := range mroam.Algorithms(seed, 4) {
-		plan := alg.Solve(inst)
+	for _, alg := range mroam.Algorithms(mroam.SearchOptions{Seed: seed, Restarts: 4}) {
+		plan := mroam.SolveAnytime(context.Background(), alg, inst).Plan
 		excess, unsat := plan.Breakdown()
 		fmt.Printf("%-8s regret %8.1f  (over-provisioned %7.1f, under-served %7.1f)\n",
 			alg.Name(), plan.TotalRegret(), excess, unsat)

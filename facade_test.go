@@ -133,14 +133,14 @@ func TestSimulateThroughFacade(t *testing.T) {
 		Gamma:            mroam.DefaultGamma,
 		Seed:             5,
 	}
-	res, err := mroam.Simulate(u, mroam.Algorithms(5, 1)[1], cfg)
+	res, err := mroam.Simulate(u, mroam.Algorithms(mroam.SearchOptions{Seed: 5, Restarts: 1})[1], cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(res.Days) != 5 {
 		t.Fatalf("%d day reports", len(res.Days))
 	}
-	all, err := mroam.ComparePolicies(u, mroam.Algorithms(5, 1)[:2], cfg)
+	all, err := mroam.ComparePolicies(u, mroam.Algorithms(mroam.SearchOptions{Seed: 5, Restarts: 1})[:2], cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package catalog
 
 import (
+	"context"
 	"errors"
 	"flag"
 	"strings"
@@ -65,7 +66,7 @@ func TestBuildDeterminism(t *testing.T) {
 			alg := core.BLSAlgorithm{Opts: core.LocalSearchOptions{
 				Seed: 9, Restarts: 3, Workers: workers,
 			}}
-			plans = append(plans, alg.Solve(inst))
+			plans = append(plans, alg.SolveCtx(context.Background(), inst).Plan)
 		}
 	}
 	want := plans[0]

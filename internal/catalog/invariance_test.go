@@ -1,6 +1,7 @@
 package catalog
 
 import (
+	"context"
 	"fmt"
 	"slices"
 	"testing"
@@ -56,7 +57,7 @@ func TestSolversInvariantUnderCompression(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					pd, pc := alg.Solve(di), alg.Solve(ci)
+					pd, pc := alg.SolveCtx(context.Background(), di).Plan, alg.SolveCtx(context.Background(), ci).Plan
 					if pd.TotalRegret() != pc.TotalRegret() {
 						t.Fatalf("regret dense %v, compressed %v", pd.TotalRegret(), pc.TotalRegret())
 					}

@@ -1,6 +1,7 @@
 package catalog
 
 import (
+	"context"
 	"encoding/json"
 	"strings"
 	"testing"
@@ -173,7 +174,7 @@ func TestBuildZonal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := alg.Solve(inst)
+	p := alg.SolveCtx(context.Background(), inst).Plan
 	if err := p.Validate(); err != nil {
 		t.Fatalf("zonal plan infeasible: %v", err)
 	}
@@ -194,7 +195,7 @@ func TestBuildZonal(t *testing.T) {
 	// The zonal constraint must actually bind on this configuration —
 	// an unconstrained solve of the same market must violate the caps,
 	// otherwise the fixture proves nothing about the model plumbing.
-	bp := alg.Solve(binst)
+	bp := alg.SolveCtx(context.Background(), binst).Plan
 	if zm.Validate(bp) == nil {
 		t.Error("base plan already satisfies the zonal caps; fixture cap 10 does not bind")
 	}

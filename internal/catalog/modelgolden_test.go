@@ -1,6 +1,7 @@
 package catalog
 
 import (
+	"context"
 	"fmt"
 	"os"
 	"strconv"
@@ -35,7 +36,7 @@ func TestBaseModelPlansMatchGolden(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			p := alg.Solve(inst)
+			p := alg.SolveCtx(context.Background(), inst).Plan
 			fmt.Fprintf(&b, "%s workers=%d regret=%s\n", name, workers,
 				strconv.FormatFloat(p.TotalRegret(), 'g', -1, 64))
 			for i := 0; i < inst.NumAdvertisers(); i++ {

@@ -7,13 +7,15 @@ import (
 )
 
 // Algorithm is a named MROAM solver. The four methods compared in the
-// paper's evaluation all implement it (and all four also implement
-// AnytimeAlgorithm, the cancellable form — see anytime.go).
+// paper's evaluation all implement it. Solving is ctx-first: SolveCtx runs
+// under the anytime contract of anytime.go, and a context that never fires
+// (context.Background()) yields the plain blocking run.
 type Algorithm interface {
 	// Name returns the method name as used in the paper's figures.
 	Name() string
-	// Solve computes a deployment plan for the instance.
-	Solve(inst *Instance) *Plan
+	// SolveCtx computes a plan under ctx, returning the best complete
+	// plan found so far if ctx fires mid-solve.
+	SolveCtx(ctx context.Context, inst *Instance) *Anytime
 }
 
 // greedyAnytime packages a ctx-bounded greedy run as an Anytime result.
@@ -35,12 +37,9 @@ type GOrderAlgorithm struct{}
 // Name implements Algorithm.
 func (GOrderAlgorithm) Name() string { return "G-Order" }
 
-// Solve implements Algorithm.
-func (GOrderAlgorithm) Solve(inst *Instance) *Plan { return GreedyOrder(inst) }
-
-// SolveCtx implements AnytimeAlgorithm.
+// SolveCtx implements Algorithm.
 func (GOrderAlgorithm) SolveCtx(ctx context.Context, inst *Instance) *Anytime {
-	return greedyAnytime(GreedyOrderCtx(ctx, inst))
+	return greedyAnytime(greedyOrder(ctxDone(ctx), inst))
 }
 
 // GGlobalAlgorithm is the synchronous greedy, "G-Global" in the figures.
@@ -49,13 +48,10 @@ type GGlobalAlgorithm struct{}
 // Name implements Algorithm.
 func (GGlobalAlgorithm) Name() string { return "G-Global" }
 
-// Solve implements Algorithm.
-func (GGlobalAlgorithm) Solve(inst *Instance) *Plan { return GGlobal(inst) }
-
-// SolveCtx implements AnytimeAlgorithm.
+// SolveCtx implements Algorithm.
 func (GGlobalAlgorithm) SolveCtx(ctx context.Context, inst *Instance) *Anytime {
 	p := NewPlan(inst)
-	completed := SynchronousGreedyCtx(ctx, p)
+	completed := synchronousGreedyDone(ctxDone(ctx), p)
 	return greedyAnytime(p, completed)
 }
 
@@ -68,14 +64,7 @@ type ALSAlgorithm struct {
 // Name implements Algorithm.
 func (ALSAlgorithm) Name() string { return "ALS" }
 
-// Solve implements Algorithm.
-func (a ALSAlgorithm) Solve(inst *Instance) *Plan {
-	opts := a.Opts
-	opts.Search = AdvertiserDriven
-	return RandomizedLocalSearch(inst, opts)
-}
-
-// SolveCtx implements AnytimeAlgorithm.
+// SolveCtx implements Algorithm.
 func (a ALSAlgorithm) SolveCtx(ctx context.Context, inst *Instance) *Anytime {
 	opts := a.Opts
 	opts.Search = AdvertiserDriven
@@ -91,14 +80,7 @@ type BLSAlgorithm struct {
 // Name implements Algorithm.
 func (BLSAlgorithm) Name() string { return "BLS" }
 
-// Solve implements Algorithm.
-func (b BLSAlgorithm) Solve(inst *Instance) *Plan {
-	opts := b.Opts
-	opts.Search = BillboardDriven
-	return RandomizedLocalSearch(inst, opts)
-}
-
-// SolveCtx implements AnytimeAlgorithm.
+// SolveCtx implements Algorithm.
 func (b BLSAlgorithm) SolveCtx(ctx context.Context, inst *Instance) *Anytime {
 	opts := b.Opts
 	opts.Search = BillboardDriven
@@ -106,16 +88,10 @@ func (b BLSAlgorithm) SolveCtx(ctx context.Context, inst *Instance) *Anytime {
 }
 
 // PaperAlgorithms returns the four methods of the evaluation section in the
-// paper's presentation order, configured with the given seed and restart
-// count (restarts < 1 selects DefaultRestarts).
-func PaperAlgorithms(seed uint64, restarts int) []Algorithm {
-	return PaperAlgorithmsOpts(LocalSearchOptions{Seed: seed, Restarts: restarts})
-}
-
-// PaperAlgorithmsOpts is PaperAlgorithms with full control over the local
-// search options (restart count, improvement ratio, worker count). The
-// Search field is overridden per method.
-func PaperAlgorithmsOpts(opts LocalSearchOptions) []Algorithm {
+// paper's presentation order, configured with the given local search
+// options (seed, restart count, improvement ratio, worker count; Restarts
+// < 1 selects DefaultRestarts). The Search field is overridden per method.
+func PaperAlgorithms(opts LocalSearchOptions) []Algorithm {
 	return []Algorithm{
 		GOrderAlgorithm{},
 		GGlobalAlgorithm{},
@@ -124,15 +100,10 @@ func PaperAlgorithmsOpts(opts LocalSearchOptions) []Algorithm {
 	}
 }
 
-// AlgorithmByName returns the algorithm with the given figure name.
-func AlgorithmByName(name string, seed uint64, restarts int) (Algorithm, error) {
-	return AlgorithmByNameOpts(name, LocalSearchOptions{Seed: seed, Restarts: restarts})
-}
-
-// AlgorithmByNameOpts is AlgorithmByName with full control over the local
-// search options.
+// AlgorithmByNameOpts returns the paper algorithm with the given figure
+// name, configured with the given local search options.
 func AlgorithmByNameOpts(name string, opts LocalSearchOptions) (Algorithm, error) {
-	all := PaperAlgorithmsOpts(opts)
+	all := PaperAlgorithms(opts)
 	for _, a := range all {
 		if a.Name() == name {
 			return a, nil

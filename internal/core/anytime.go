@@ -61,23 +61,10 @@ type Anytime struct {
 	FrozenAdvertisers int
 }
 
-// AnytimeAlgorithm is an Algorithm that supports deadline-bounded and
-// cancellable solving. All four paper algorithms implement it.
-type AnytimeAlgorithm interface {
-	Algorithm
-	// SolveCtx computes a plan under ctx, returning the best complete
-	// plan found so far if ctx fires mid-solve.
-	SolveCtx(ctx context.Context, inst *Instance) *Anytime
-}
-
-// SolveAnytime runs alg under ctx when it supports the anytime contract and
-// falls back to a blocking Solve otherwise.
+// SolveAnytime runs alg under ctx: Algorithm.SolveCtx as a plain function,
+// the form the serving layer takes as its substitutable solve hook.
 func SolveAnytime(ctx context.Context, alg Algorithm, inst *Instance) *Anytime {
-	if aa, ok := alg.(AnytimeAlgorithm); ok {
-		return aa.SolveCtx(ctx, inst)
-	}
-	p := alg.Solve(inst)
-	return &Anytime{Plan: p, TotalRegret: p.TotalRegret(), Evals: p.Evals(), Cache: p.CacheStats()}
+	return alg.SolveCtx(ctx, inst)
 }
 
 // ctxDone extracts the done channel once so the hot paths can poll with a

@@ -145,12 +145,8 @@ func TestAnytimeExpiredContext(t *testing.T) {
 	inst := smallInstance()
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	for _, alg := range PaperAlgorithms(1, 3) {
-		aa, ok := alg.(AnytimeAlgorithm)
-		if !ok {
-			t.Fatalf("%s does not implement AnytimeAlgorithm", alg.Name())
-		}
-		res := aa.SolveCtx(ctx, inst)
+	for _, alg := range PaperAlgorithms(LocalSearchOptions{Seed: 1, Restarts: 3}) {
+		res := alg.SolveCtx(ctx, inst)
 		if !res.Truncated {
 			t.Errorf("%s: expired context not reported as truncated", alg.Name())
 		}
@@ -166,22 +162,33 @@ func TestAnytimeExpiredContext(t *testing.T) {
 	}
 }
 
+// solve runs alg to completion: SolveCtx under a context that never fires.
+func solve(alg Algorithm, inst *Instance) *Plan {
+	return alg.SolveCtx(context.Background(), inst).Plan
+}
+
 // TestAnytimeGreedySolveCtxMatchesSolve checks the greedy algorithms'
 // anytime form against their blocking form under a context that never fires.
 func TestAnytimeGreedySolveCtxMatchesSolve(t *testing.T) {
 	r := rng.New(94)
 	inst := randomInstance(r, 300, 20, 30, 3, 1.0, 0.5)
-	for _, alg := range []Algorithm{GOrderAlgorithm{}, GGlobalAlgorithm{}} {
-		res := alg.(AnytimeAlgorithm).SolveCtx(context.Background(), inst)
+	for _, tc := range []struct {
+		alg      Algorithm
+		blocking func(*Instance) *Plan
+	}{
+		{GOrderAlgorithm{}, GreedyOrder},
+		{GGlobalAlgorithm{}, GGlobal},
+	} {
+		res := tc.alg.SolveCtx(context.Background(), inst)
 		if res.Truncated {
-			t.Fatalf("%s: truncated under background context", alg.Name())
+			t.Fatalf("%s: truncated under background context", tc.alg.Name())
 		}
-		assertSamePlan(t, alg.Name(), res.Plan, alg.Solve(inst))
+		assertSamePlan(t, tc.alg.Name(), res.Plan, tc.blocking(inst))
 	}
 }
 
-// TestSolveAnytimeFallback checks the helper used by the serving layer.
-func TestSolveAnytimeFallback(t *testing.T) {
+// TestSolveAnytime checks the helper used by the serving layer.
+func TestSolveAnytime(t *testing.T) {
 	inst := smallInstance()
 	res := SolveAnytime(context.Background(), BLSAlgorithm{Opts: LocalSearchOptions{Restarts: 2, Seed: 1}}, inst)
 	if res.Truncated || res.Plan == nil {

@@ -81,8 +81,8 @@ func TestHeuristicsAgainstExact(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, alg := range PaperAlgorithms(uint64(trial), 3) {
-			p := alg.Solve(inst)
+		for _, alg := range PaperAlgorithms(LocalSearchOptions{Seed: uint64(trial), Restarts: 3}) {
+			p := solve(alg, inst)
 			if err := p.Validate(); err != nil {
 				t.Fatalf("trial %d %s: %v", trial, alg.Name(), err)
 			}
@@ -106,21 +106,21 @@ func TestHeuristicsAgainstExact(t *testing.T) {
 
 func TestAlgorithmByName(t *testing.T) {
 	for _, name := range []string{"G-Order", "G-Global", "ALS", "BLS"} {
-		alg, err := AlgorithmByName(name, 1, 2)
+		alg, err := AlgorithmByNameOpts(name, LocalSearchOptions{Seed: 1, Restarts: 2})
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
 		if alg.Name() != name {
-			t.Fatalf("AlgorithmByName(%q).Name() = %q", name, alg.Name())
+			t.Fatalf("AlgorithmByNameOpts(%q).Name() = %q", name, alg.Name())
 		}
 	}
-	if _, err := AlgorithmByName("Simplex", 1, 2); err == nil {
+	if _, err := AlgorithmByNameOpts("Simplex", LocalSearchOptions{Seed: 1, Restarts: 2}); err == nil {
 		t.Fatal("unknown algorithm name accepted")
 	}
 }
 
 func TestPaperAlgorithmsOrder(t *testing.T) {
-	algs := PaperAlgorithms(1, 2)
+	algs := PaperAlgorithms(LocalSearchOptions{Seed: 1, Restarts: 2})
 	want := []string{"G-Order", "G-Global", "ALS", "BLS"}
 	if len(algs) != len(want) {
 		t.Fatalf("%d algorithms, want %d", len(algs), len(want))

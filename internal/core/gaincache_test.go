@@ -46,9 +46,9 @@ func TestGainCacheMatchesScanAcrossAlgorithms(t *testing.T) {
 		}
 		for _, alg := range algs {
 			var want *Plan
-			withScanReference(func() { want = alg.Solve(inst) })
+			withScanReference(func() { want = solve(alg, inst) })
 			var got *Plan
-			withCELF(func() { got = alg.Solve(inst) })
+			withCELF(func() { got = solve(alg, inst) })
 			if err := got.Validate(); err != nil {
 				t.Fatalf("trial %d %s: %v", trial, alg.Name(), err)
 			}
@@ -227,8 +227,8 @@ func TestGainCacheStatsAcrossAlgorithms(t *testing.T) {
 	}
 	for _, alg := range algs {
 		var scan, celf CacheStats
-		withScanReference(func() { scan = alg.Solve(inst).CacheStats() })
-		withCELF(func() { celf = alg.Solve(inst).CacheStats() })
+		withScanReference(func() { scan = solve(alg, inst).CacheStats() })
+		withCELF(func() { celf = solve(alg, inst).CacheStats() })
 		if scan.Hits != 0 {
 			t.Errorf("%s: scan mode recorded %d hits", alg.Name(), scan.Hits)
 		}

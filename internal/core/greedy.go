@@ -1,9 +1,6 @@
 package core
 
-import (
-	"context"
-	"sort"
-)
+import "sort"
 
 // This file implements the two greedy heuristics of Section 5:
 // G-Order (Algorithm 1, budget-effective greedy) and G-Global (Algorithm 2,
@@ -93,12 +90,6 @@ func GreedyOrder(inst *Instance) *Plan {
 	return p
 }
 
-// GreedyOrderCtx is GreedyOrder under a context: if ctx fires mid-build the
-// partially assigned plan (structurally valid) is returned with ok=false.
-func GreedyOrderCtx(ctx context.Context, inst *Instance) (p *Plan, completed bool) {
-	return greedyOrder(ctxDone(ctx), inst)
-}
-
 func greedyOrder(done <-chan struct{}, inst *Instance) (p *Plan, completed bool) {
 	p = NewPlan(inst)
 	for _, i := range byBudgetEffectiveness(inst) {
@@ -130,13 +121,6 @@ func greedyOrder(done <-chan struct{}, inst *Instance) (p *Plan, completed bool)
 func SynchronousGreedy(p *Plan) *Plan {
 	synchronousGreedyDone(nil, p)
 	return p
-}
-
-// SynchronousGreedyCtx is SynchronousGreedy under a context: it reports
-// whether the greedy ran to convergence before ctx fired. On cancellation
-// the plan is left in its current (structurally valid) intermediate state.
-func SynchronousGreedyCtx(ctx context.Context, p *Plan) (completed bool) {
-	return synchronousGreedyDone(ctxDone(ctx), p)
 }
 
 func synchronousGreedyDone(done <-chan struct{}, p *Plan) (completed bool) {

@@ -186,7 +186,7 @@ func TestGreedyOnEmptyAdvertisers(t *testing.T) {
 	u := coverage.MustUniverse(5, []coverage.List{{0, 1}})
 	inst := MustInstance(u, nil, 0.5)
 	for _, alg := range []Algorithm{GOrderAlgorithm{}, GGlobalAlgorithm{}} {
-		p := alg.Solve(inst)
+		p := solve(alg, inst)
 		if p.TotalRegret() != 0 {
 			t.Errorf("%s: no advertisers should give zero regret", alg.Name())
 		}
@@ -197,7 +197,7 @@ func TestGreedyOnEmptyInventory(t *testing.T) {
 	u := coverage.MustUniverse(0, nil)
 	inst := MustInstance(u, []Advertiser{{Demand: 5, Payment: 10}}, 0.5)
 	for _, alg := range []Algorithm{GOrderAlgorithm{}, GGlobalAlgorithm{}} {
-		p := alg.Solve(inst)
+		p := solve(alg, inst)
 		if p.TotalRegret() != 10 {
 			t.Errorf("%s: regret = %v, want 10 (nothing assignable)", alg.Name(), p.TotalRegret())
 		}
@@ -242,7 +242,7 @@ func TestGreedyPropertyValidPlans(t *testing.T) {
 		nAdv := 1 + r.Intn(8)
 		inst := randomInstance(r, 100+r.Intn(200), 5+r.Intn(25), 1+r.Intn(30), nAdv, alpha, gamma)
 		for _, alg := range []Algorithm{GOrderAlgorithm{}, GGlobalAlgorithm{}} {
-			p := alg.Solve(inst)
+			p := solve(alg, inst)
 			if err := p.Validate(); err != nil {
 				t.Fatalf("trial %d %s: %v", trial, alg.Name(), err)
 			}

@@ -314,13 +314,13 @@ func TestAlgorithmsUnderImpressionMeasure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, alg := range PaperAlgorithms(3, 3) {
-		p := alg.Solve(inst)
+	for _, alg := range PaperAlgorithms(LocalSearchOptions{Seed: 3, Restarts: 3}) {
+		p := solve(alg, inst)
 		if err := p.Validate(); err != nil {
 			t.Fatalf("%s: %v", alg.Name(), err)
 		}
 	}
-	p := BLSAlgorithm{Opts: LocalSearchOptions{Restarts: 3, Seed: 1}}.Solve(inst)
+	p := solve(BLSAlgorithm{Opts: LocalSearchOptions{Restarts: 3, Seed: 1}}, inst)
 	if p.TotalRegret() != 0 {
 		t.Fatalf("BLS regret under k=2 = %v, want 0 (perfect pairing exists)", p.TotalRegret())
 	}

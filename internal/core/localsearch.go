@@ -194,13 +194,6 @@ func AdvertiserLocalSearch(p *Plan, maxPasses int) int {
 	return exchanges
 }
 
-// AdvertiserLocalSearchCtx is AdvertiserLocalSearch under a context: it
-// additionally reports whether the search converged before ctx fired. The
-// plan is always left structurally valid.
-func AdvertiserLocalSearchCtx(ctx context.Context, p *Plan, maxPasses int) (exchanges int, completed bool) {
-	return advertiserLocalSearch(ctxDone(ctx), p, maxPasses, nil)
-}
-
 func advertiserLocalSearch(done <-chan struct{}, p *Plan, maxPasses int, frozen []bool) (exchanges int, completed bool) {
 	if maxPasses < 1 {
 		maxPasses = DefaultMaxPasses
@@ -256,14 +249,6 @@ func advertiserLocalSearch(done <-chan struct{}, p *Plan, maxPasses int, frozen 
 func BillboardLocalSearch(p *Plan, opts LocalSearchOptions) int {
 	accepted, _ := billboardLocalSearch(nil, p, opts, nil)
 	return accepted
-}
-
-// BillboardLocalSearchCtx is BillboardLocalSearch under a context: it
-// additionally reports whether the search converged before ctx fired. The
-// plan is always left structurally valid (cancellation points sit between
-// atomic moves).
-func BillboardLocalSearchCtx(ctx context.Context, p *Plan, opts LocalSearchOptions) (accepted int, completed bool) {
-	return billboardLocalSearch(ctxDone(ctx), p, opts, nil)
 }
 
 func billboardLocalSearch(done <-chan struct{}, p *Plan, opts LocalSearchOptions, frozen []bool) (accepted int, completed bool) {

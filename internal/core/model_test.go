@@ -73,7 +73,7 @@ func TestZonalSolversRespectCaps(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			return alg.Solve(inst)
+			return solve(alg, inst)
 		}
 		for _, name := range []string{"G-Order", "G-Global", "ALS", "BLS"} {
 			p1, p4 := solve(name, 1), solve(name, 4)

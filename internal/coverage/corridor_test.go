@@ -86,7 +86,7 @@ func TestCompressPreservesAllInfluenceQuantities(t *testing.T) {
 	}
 }
 
-func TestCompressedCounterMatchesDenseCounter(t *testing.T) {
+func TestCorridorCounterMatchesDenseCounter(t *testing.T) {
 	r := rng.New(99)
 	for trial := 0; trial < 20; trial++ {
 		u := randomUniverse(r, 80+r.Intn(120), 6+r.Intn(14), 1+r.Intn(40))

@@ -210,30 +210,9 @@ func (u *Universe) TotalSupply() int64 { return u.totalSupply }
 
 // UnionCount returns I(S) = |⋃_{b∈S} cover(b)| in raw trajectories,
 // computed from scratch. Counters are faster for incremental work; this is
-// the reference evaluator and the right tool for one-shot queries. The
-// union is taken in the compressed substrate (roaring-style containers), so
-// the scratch cost scales with the IDs actually covered, not the ID space.
+// the reference evaluator and the right tool for one-shot queries.
 func (u *Universe) UnionCount(billboards []int) int {
-	un := u.UnionCompressed(billboards)
-	if u.weights == nil {
-		return un.Count()
-	}
-	total := 0
-	un.Range(func(id int) bool {
-		total += int(u.weights[id])
-		return true
-	})
-	return total
-}
-
-// UnionCompressed returns the union coverage of the given billboards as a
-// compressed set over the universe's ID space.
-func (u *Universe) UnionCompressed(billboards []int) *bitset.Compressed {
-	un := bitset.NewCompressed()
-	for _, b := range billboards {
-		un.Or(bitset.FromSortedIDs(u.lists[b]))
-	}
-	return un
+	return u.WeightSum(u.UnionBitset(billboards))
 }
 
 // UnionBitset returns the union coverage of the given billboards as a dense

@@ -369,16 +369,34 @@ func BenchmarkCounterGain(b *testing.B) {
 	}
 }
 
+// unionSink keeps BenchmarkUnionCount's result live.
+var unionSink int
+
+// BenchmarkUnionCount times a one-shot 50-billboard union on two ID
+// spaces: the 50k-ID synthetic case and a paper-scale 1.7M-ID rung (NYC's
+// trajectory count), where the dense bitset's size is largest relative to
+// the IDs actually covered.
 func BenchmarkUnionCount(b *testing.B) {
-	r := rng.New(1)
-	u := randomUniverse(r, 50000, 500, 400)
-	set := make([]int, 50)
-	for i := range set {
-		set[i] = i * 9 % u.NumBillboards()
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = u.UnionCount(set)
+	for _, bc := range []struct {
+		name          string
+		nTraj, maxDeg int
+	}{
+		{"ids=50k", 50000, 400},
+		{"ids=1.7M", 1700000, 4000},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			r := rng.New(1)
+			u := randomUniverse(r, bc.nTraj, 500, bc.maxDeg)
+			set := make([]int, 50)
+			for i := range set {
+				set[i] = i * 9 % u.NumBillboards()
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				unionSink = u.UnionCount(set)
+			}
+		})
 	}
 }
 

@@ -10,6 +10,7 @@
 package experiment
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"time"
@@ -55,7 +56,7 @@ func (m Metrics) UnsatisfiedPct() float64 {
 // Run solves the instance with the algorithm and collects metrics.
 func Run(inst *core.Instance, alg core.Algorithm) Metrics {
 	start := time.Now()
-	plan := alg.Solve(inst)
+	plan := alg.SolveCtx(context.Background(), inst).Plan
 	elapsed := time.Since(start)
 	excess, unsat := plan.Breakdown()
 	return Metrics{
@@ -193,7 +194,7 @@ func (r *Runner) instance(city dataset.City, alpha, p, gamma, lambda float64) (*
 
 // algorithms returns the paper's four methods configured for this runner.
 func (r *Runner) algorithms() []core.Algorithm {
-	return core.PaperAlgorithms(r.cfg.Seed, r.cfg.Restarts)
+	return core.PaperAlgorithms(core.LocalSearchOptions{Seed: r.cfg.Seed, Restarts: r.cfg.Restarts})
 }
 
 // runPoint solves one instance with all four methods.

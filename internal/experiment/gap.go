@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"context"
 	"fmt"
 
 	"repro/internal/core"
@@ -71,7 +72,7 @@ func ApproximationGap(cfg GapConfig) ([]GapRow, error) {
 		return nil, fmt.Errorf("experiment: %d billboards beyond the exact solver's bound %d",
 			cfg.Billboards, core.ExactMaxBillboards)
 	}
-	algs := core.PaperAlgorithms(cfg.Seed, cfg.Restarts)
+	algs := core.PaperAlgorithms(core.LocalSearchOptions{Seed: cfg.Seed, Restarts: cfg.Restarts})
 	rows := make([]GapRow, len(algs))
 	for i, alg := range algs {
 		rows[i] = GapRow{Algorithm: alg.Name(), Instances: cfg.Instances}
@@ -88,7 +89,7 @@ func ApproximationGap(cfg GapConfig) ([]GapRow, error) {
 			return nil, err
 		}
 		for i, alg := range algs {
-			p := alg.Solve(inst)
+			p := alg.SolveCtx(context.Background(), inst).Plan
 			if p.TotalRegret() < opt.TotalRegret()-1e-9 {
 				return nil, fmt.Errorf("experiment: %s beat the exact optimum (%v < %v) — solver bug",
 					alg.Name(), p.TotalRegret(), opt.TotalRegret())

@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"context"
 	"fmt"
 	"time"
 
@@ -36,12 +37,12 @@ func RunRepeated(inst *core.Instance, algName string, baseSeed uint64, restarts,
 	seconds := make([]float64, 0, runs)
 	evals := make([]float64, 0, runs)
 	for k := 0; k < runs; k++ {
-		alg, err := core.AlgorithmByName(algName, baseSeed+uint64(k), restarts)
+		alg, err := core.AlgorithmByNameOpts(algName, core.LocalSearchOptions{Seed: baseSeed + uint64(k), Restarts: restarts})
 		if err != nil {
 			return RepeatedMetrics{}, err
 		}
 		start := time.Now()
-		plan := alg.Solve(inst)
+		plan := alg.SolveCtx(context.Background(), inst).Plan
 		seconds = append(seconds, time.Since(start).Seconds())
 		regrets = append(regrets, plan.TotalRegret())
 		evals = append(evals, float64(plan.Evals()))
@@ -55,7 +56,7 @@ func RunRepeated(inst *core.Instance, algName string, baseSeed uint64, restarts,
 // RunAllRepeated applies RunRepeated to the paper's four methods.
 func RunAllRepeated(inst *core.Instance, baseSeed uint64, restarts, runs int) ([]RepeatedMetrics, error) {
 	var out []RepeatedMetrics
-	for _, alg := range core.PaperAlgorithms(baseSeed, restarts) {
+	for _, alg := range core.PaperAlgorithms(core.LocalSearchOptions{Seed: baseSeed, Restarts: restarts}) {
 		m, err := RunRepeated(inst, alg.Name(), baseSeed, restarts, runs)
 		if err != nil {
 			return nil, fmt.Errorf("experiment: %s: %w", alg.Name(), err)

@@ -1,6 +1,7 @@
 package hardness
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/core"
@@ -236,7 +237,7 @@ func TestBLSOnReducedInstance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plan := core.BLSAlgorithm{Opts: core.LocalSearchOptions{Restarts: 3, Seed: 1}}.Solve(inst)
+	plan := core.BLSAlgorithm{Opts: core.LocalSearchOptions{Restarts: 3, Seed: 1}}.SolveCtx(context.Background(), inst).Plan
 	if err := plan.Validate(); err != nil {
 		t.Fatal(err)
 	}

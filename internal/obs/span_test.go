@@ -26,6 +26,23 @@ func TestTraceparentRoundTrip(t *testing.T) {
 	}
 }
 
+// malformedTraceparents are headers ParseTraceparent must reject; they also
+// seed FuzzParseTraceparent.
+var malformedTraceparents = []string{
+	"",
+	"not-a-header",
+	"ff-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01",   // reserved version
+	"00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01-x", // 00 with trailing field
+	"00-" + strings.Repeat("0", 32) + "-00f067aa0ba902b7-01",    // all-zero trace id
+	"00-4bf92f3577b34da6a3ce929d0e0e4736-0000000000000000-01",   // all-zero span id
+	"00-4BF92F3577B34DA6A3CE929D0E0E4736-00f067aa0ba902b7-01",   // uppercase hex
+	"00-4bf92f3577b34da6a3ce929d0e0e47-00f067aa0ba902b7-01",     // short trace id
+	"00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902-01",     // short span id
+	"00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-zz",   // non-hex flags
+	"0-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01",    // short version
+	"00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7",      // missing flags
+}
+
 func TestParseTraceparentRejects(t *testing.T) {
 	valid := "00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01"
 	if _, _, _, ok := ParseTraceparent(valid); !ok {
@@ -35,20 +52,7 @@ func TestParseTraceparentRejects(t *testing.T) {
 	if _, _, _, ok := ParseTraceparent("cc-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01-extra"); !ok {
 		t.Error("future-version header with extra field rejected")
 	}
-	for _, h := range []string{
-		"",
-		"not-a-header",
-		"ff-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01",   // reserved version
-		"00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01-x", // 00 with trailing field
-		"00-" + strings.Repeat("0", 32) + "-00f067aa0ba902b7-01",    // all-zero trace id
-		"00-4bf92f3577b34da6a3ce929d0e0e4736-0000000000000000-01",   // all-zero span id
-		"00-4BF92F3577B34DA6A3CE929D0E0E4736-00f067aa0ba902b7-01",   // uppercase hex
-		"00-4bf92f3577b34da6a3ce929d0e0e47-00f067aa0ba902b7-01",     // short trace id
-		"00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902-01",     // short span id
-		"00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-zz",   // non-hex flags
-		"0-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01",    // short version
-		"00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7",      // missing flags
-	} {
+	for _, h := range malformedTraceparents {
 		if _, _, _, ok := ParseTraceparent(h); ok {
 			t.Errorf("ParseTraceparent(%q) accepted, want rejection", h)
 		}

@@ -127,7 +127,7 @@ func TestSolveEndpointMatchesLibrary(t *testing.T) {
 	if status != http.StatusOK {
 		t.Fatalf("status %d", status)
 	}
-	want := core.BLSAlgorithm{Opts: core.LocalSearchOptions{Restarts: 3, Seed: 9, Workers: 1}}.Solve(inst)
+	want := core.BLSAlgorithm{Opts: core.LocalSearchOptions{Restarts: 3, Seed: 9, Workers: 1}}.SolveCtx(context.Background(), inst).Plan
 	if got.TotalRegret != want.TotalRegret() {
 		t.Errorf("regret %v, want %v", got.TotalRegret, want.TotalRegret())
 	}

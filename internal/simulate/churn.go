@@ -101,10 +101,11 @@ type ChurnDay struct {
 	// Frozen is how many advertisers the warm slot's screen excluded from
 	// search.
 	Frozen int
-	// Matched reports that warm and cold converged to the same total
-	// regret.
-	Matched bool
 }
+
+// RegretDelta is the day's paired warm − cold total regret: positive when
+// the warm-started solve ended worse than the cold one.
+func (d ChurnDay) RegretDelta() float64 { return d.WarmRegret - d.ColdRegret }
 
 // ChurnResult aggregates a churn replay.
 type ChurnResult struct {
@@ -116,7 +117,13 @@ type ChurnResult struct {
 	// Totals over the churn days.
 	ColdEvals, WarmEvals   int64
 	ColdMillis, WarmMillis float64
-	MatchedDays            int
+	// WorseDays/EqualDays/BetterDays count the days whose warm regret was
+	// above, equal to or below the cold regret of the same market; they sum
+	// to len(Days).
+	WorseDays, EqualDays, BetterDays int
+	// MaxWorsening is the largest per-day RegretDelta (0 when warm was
+	// never worse); RegretDelta is the sum of every day's RegretDelta.
+	MaxWorsening, RegretDelta float64
 }
 
 // ChurnReplay runs a day-over-day churn market on the universe, solving each
@@ -245,15 +252,22 @@ func ChurnReplay(u *coverage.Universe, cfg ChurnConfig) (*ChurnResult, error) {
 			WarmMillis:  warmMillis,
 			WarmStarted: warm.WarmStarted,
 			Frozen:      warm.FrozenAdvertisers,
-			Matched:     warm.TotalRegret == cold.TotalRegret,
 		}
 		res.Days = append(res.Days, d)
 		res.ColdEvals += d.ColdEvals
 		res.WarmEvals += d.WarmEvals
 		res.ColdMillis += d.ColdMillis
 		res.WarmMillis += d.WarmMillis
-		if d.Matched {
-			res.MatchedDays++
+		delta := d.RegretDelta()
+		res.RegretDelta += delta
+		switch {
+		case delta > 0:
+			res.WorseDays++
+			res.MaxWorsening = max(res.MaxWorsening, delta)
+		case delta < 0:
+			res.BetterDays++
+		default:
+			res.EqualDays++
 		}
 
 		// The warm plan becomes tomorrow's incumbent — the same

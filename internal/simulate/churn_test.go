@@ -1,6 +1,7 @@
 package simulate
 
 import (
+	"math"
 	"testing"
 )
 
@@ -70,6 +71,46 @@ func TestChurnReplayWarmCheaper(t *testing.T) {
 	if res.WarmEvals >= res.ColdEvals {
 		t.Fatalf("warm solves cost %d evals, cold %d — warm must be strictly cheaper",
 			res.WarmEvals, res.ColdEvals)
+	}
+}
+
+// TestChurnReplayRegretDelta pins the paired warm − cold regret summary:
+// every day lands in exactly one of worse/equal/better, the total Δ is the
+// sum of the per-day rows, and the largest worsening is the largest
+// positive row (0 when warm was never worse).
+func TestChurnReplayRegretDelta(t *testing.T) {
+	for _, seed := range []uint64{7, 13, 22} {
+		cfg := validChurnConfig()
+		cfg.Seed = seed
+		cfg.Days = 8
+		res, err := ChurnReplay(testUniverse(5), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := res.WorseDays + res.EqualDays + res.BetterDays; got != len(res.Days) {
+			t.Errorf("seed %d: worse+equal+better = %d, want %d days", seed, got, len(res.Days))
+		}
+		var sum, worst float64
+		var worse, better int
+		for _, d := range res.Days {
+			delta := d.WarmRegret - d.ColdRegret
+			sum += delta
+			if delta > 0 {
+				worse++
+				worst = max(worst, delta)
+			} else if delta < 0 {
+				better++
+			}
+		}
+		if math.Abs(res.RegretDelta-sum) > 1e-9 {
+			t.Errorf("seed %d: total Δ %v, want per-day sum %v", seed, res.RegretDelta, sum)
+		}
+		if res.WorseDays != worse || res.BetterDays != better {
+			t.Errorf("seed %d: worse/better %d/%d, want %d/%d", seed, res.WorseDays, res.BetterDays, worse, better)
+		}
+		if res.MaxWorsening != worst {
+			t.Errorf("seed %d: largest worsening %v, want %v", seed, res.MaxWorsening, worst)
+		}
 	}
 }
 

@@ -14,6 +14,7 @@
 package simulate
 
 import (
+	"context"
 	"fmt"
 
 	"repro/internal/core"
@@ -215,7 +216,7 @@ func Run(u *coverage.Universe, alg core.Algorithm, cfg Config) (*Result, error) 
 					return nil, err
 				}
 			}
-			plan := alg.Solve(inst)
+			plan := alg.SolveCtx(context.Background(), inst).Plan
 			report.DayRegret = plan.TotalRegret()
 
 			for i := range advs {

@@ -51,10 +51,12 @@ func (m ServiceModel) meanMS(trace Trace) float64 {
 }
 
 // MeasureServiceModel fits a ServiceModel to an observed replay: per
-// algorithm, the mean latency of uncached fully-served 200s (cached answers
-// never held a worker; truncated ones measure the deadline, not the work).
-// Algorithms with no usable sample fall back to DefaultMS, the mean over
-// every usable sample.
+// algorithm, the mean server-reported solve time (Result.ServerSolveMS,
+// from the Server-Timing header) of uncached fully-served 200s. Cached
+// answers never held a worker; truncated ones measure the deadline, not the
+// work. Client latency is not used: it adds queue wait, which is what the
+// simulator models, not a property of the solve. Algorithms with no usable
+// sample fall back to DefaultMS, the mean over every usable sample.
 func MeasureServiceModel(trace Trace, results []Result) ServiceModel {
 	sums := make(map[string]float64)
 	counts := make(map[string]int)
@@ -65,9 +67,9 @@ func MeasureServiceModel(trace Trace, results []Result) ServiceModel {
 			continue
 		}
 		alg := trace[i].Algorithm
-		sums[alg] += res.LatencyMS
+		sums[alg] += res.ServerSolveMS
 		counts[alg]++
-		allSum += res.LatencyMS
+		allSum += res.ServerSolveMS
 		allN++
 	}
 	m := ServiceModel{MSByAlgorithm: make(map[string]float64, len(sums)), DefaultMS: 1}

@@ -201,8 +201,9 @@ func TestCompareRegretArithmetic(t *testing.T) {
 	}
 }
 
-// TestMeasureServiceModel: the fitted model averages only uncached,
-// untruncated 200s and keys by algorithm.
+// TestMeasureServiceModel: the fitted model averages the server solve time
+// of uncached, untruncated 200s only, keys by algorithm, and ignores client
+// latency — rows 5 and 6 waited in the queue far longer than they solved.
 func TestMeasureServiceModel(t *testing.T) {
 	tr := Trace{
 		{Index: 0, Algorithm: "G-Order"},
@@ -210,13 +211,17 @@ func TestMeasureServiceModel(t *testing.T) {
 		{Index: 2, Algorithm: "BLS"},
 		{Index: 3, Algorithm: "BLS"},
 		{Index: 4, Algorithm: "BLS"},
+		{Index: 5, Algorithm: "G-Order"},
+		{Index: 6, Algorithm: "BLS"},
 	}
 	results := []Result{
-		{Index: 0, Status: 200, LatencyMS: 10},
-		{Index: 1, Status: 200, LatencyMS: 20},
-		{Index: 2, Status: 200, LatencyMS: 100},
-		{Index: 3, Status: 200, LatencyMS: 999, Cached: true},    // excluded
-		{Index: 4, Status: 200, LatencyMS: 999, Truncated: true}, // excluded
+		{Index: 0, Status: 200, LatencyMS: 10, ServerSolveMS: 10},
+		{Index: 1, Status: 200, LatencyMS: 20, ServerSolveMS: 20},
+		{Index: 2, Status: 200, LatencyMS: 100, ServerSolveMS: 100},
+		{Index: 3, Status: 200, LatencyMS: 999, ServerSolveMS: 999, Cached: true},    // excluded
+		{Index: 4, Status: 200, LatencyMS: 999, ServerSolveMS: 999, Truncated: true}, // excluded
+		{Index: 5, Status: 200, LatencyMS: 480, ServerSolveMS: 15},
+		{Index: 6, Status: 200, LatencyMS: 900, ServerSolveMS: 100},
 	}
 	m := MeasureServiceModel(tr, results)
 	if got := m.ServiceMS("G-Order"); got != 15 {
@@ -226,8 +231,8 @@ func TestMeasureServiceModel(t *testing.T) {
 		t.Errorf("BLS %v, want 100", got)
 	}
 	// Unknown algorithms fall back to the pooled mean.
-	if got := m.ServiceMS("ALS"); math.Abs(got-130.0/3) > 1e-9 {
-		t.Errorf("fallback %v, want %v", got, 130.0/3)
+	if got := m.ServiceMS("ALS"); math.Abs(got-245.0/5) > 1e-9 {
+		t.Errorf("fallback %v, want %v", got, 245.0/5)
 	}
 }
 

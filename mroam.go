@@ -15,9 +15,12 @@
 //	fmt.Println(plan.TotalRegret(), plan.SatisfiedCount())
 //
 // The four solvers of the paper are exposed as GOrder, GGlobal, ALS and
-// BLS; Exact is a brute-force oracle for small instances. The experiment
-// harness (NewExperiment) regenerates every table and figure of the paper's
-// evaluation; see EXPERIMENTS.md.
+// BLS; Exact is a brute-force oracle for small instances. Algorithms
+// returns the same four as Algorithm values, and SolveAnytime runs one
+// under a context: a deadline or cancellation cuts the solve short and it
+// still returns the best complete plan found (DESIGN.md §8). The
+// experiment harness (NewExperiment) regenerates every table and figure of
+// the paper's evaluation; see EXPERIMENTS.md.
 package mroam
 
 import (
@@ -138,64 +141,24 @@ func BLS(inst *Instance, opts SearchOptions) *Plan {
 // a ground-truth oracle).
 func Exact(inst *Instance) (*Plan, error) { return core.Exact(inst) }
 
-// Anytime solving — every solver can run under a context.Context and, when
-// the deadline fires or the context is cancelled mid-solve, still returns
-// the best complete plan found so far (see DESIGN.md §8 for the contract).
-type (
-	// Anytime is the result of a context-aware solve: best plan found,
-	// restarts completed, and whether the run was truncated.
-	Anytime = core.Anytime
-	// AnytimeAlgorithm is an Algorithm supporting cancellable solves; all
-	// four paper algorithms implement it.
-	AnytimeAlgorithm = core.AnytimeAlgorithm
-)
+// Anytime is the result of a context-aware solve: the best complete plan
+// found, restarts completed, and whether the deadline or a cancellation
+// truncated the run (see DESIGN.md §8 for the contract).
+type Anytime = core.Anytime
 
-// SolveAnytime runs any Algorithm under ctx, falling back to a blocking
-// solve for algorithms without anytime support.
+// SolveAnytime runs alg under ctx. With a context that never fires the
+// plan is bit-identical to the blocking forms (GOrder, GGlobal, ALS, BLS).
 func SolveAnytime(ctx context.Context, alg Algorithm, inst *Instance) *Anytime {
 	return core.SolveAnytime(ctx, alg, inst)
 }
 
-// ALSCtx is ALS under a context: cancellable and deadline-bounded, with
-// deterministic truncation at restart granularity. With a context that
-// never fires it is bit-identical to ALS.
-func ALSCtx(ctx context.Context, inst *Instance, opts SearchOptions) *Anytime {
-	opts.Search = core.AdvertiserDriven
-	return core.RandomizedLocalSearchCtx(ctx, inst, opts)
-}
-
-// BLSCtx is BLS under a context: cancellable and deadline-bounded, with
-// deterministic truncation at restart granularity. With a context that
-// never fires it is bit-identical to BLS.
-func BLSCtx(ctx context.Context, inst *Instance, opts SearchOptions) *Anytime {
-	opts.Search = core.BillboardDriven
-	return core.RandomizedLocalSearchCtx(ctx, inst, opts)
-}
-
-// GOrderCtx is GOrder under a context; on cancellation the partially built
-// plan is returned with Truncated set.
-func GOrderCtx(ctx context.Context, inst *Instance) *Anytime {
-	return core.GOrderAlgorithm{}.SolveCtx(ctx, inst)
-}
-
-// GGlobalCtx is GGlobal under a context; on cancellation the partially
-// built plan is returned with Truncated set.
-func GGlobalCtx(ctx context.Context, inst *Instance) *Anytime {
-	return core.GGlobalAlgorithm{}.SolveCtx(ctx, inst)
-}
-
 // Algorithms returns the paper's four methods (G-Order, G-Global, ALS,
-// BLS) in the evaluation's presentation order.
-func Algorithms(seed uint64, restarts int) []Algorithm {
-	return core.PaperAlgorithms(seed, restarts)
-}
-
-// AlgorithmsOpts is Algorithms with full control over the local search
-// options — most usefully SearchOptions.Workers, which fans the restart
-// loop of ALS and BLS out over a goroutine pool while returning results
-// bit-identical to the serial run.
-func AlgorithmsOpts(opts SearchOptions) []Algorithm {
-	return core.PaperAlgorithmsOpts(opts)
+// BLS) in the evaluation's presentation order. opts configures ALS and BLS
+// — most usefully SearchOptions.Workers, which fans their restart loop out
+// over a goroutine pool while returning results bit-identical to the
+// serial run.
+func Algorithms(opts SearchOptions) []Algorithm {
+	return core.PaperAlgorithms(opts)
 }
 
 // GenerateNYC generates the synthetic Manhattan-like taxi dataset at the

@@ -110,7 +110,7 @@ func TestNonGeographicUniverse(t *testing.T) {
 }
 
 func TestAlgorithmsList(t *testing.T) {
-	algs := mroam.Algorithms(1, 2)
+	algs := mroam.Algorithms(mroam.SearchOptions{Seed: 1, Restarts: 2})
 	want := []string{"G-Order", "G-Global", "ALS", "BLS"}
 	if len(algs) != 4 {
 		t.Fatalf("%d algorithms", len(algs))
