@@ -2,15 +2,15 @@
 
 GO ?= go
 
-.PHONY: all build test test-race vet fmt lint bench bench-json bench-serving scale-smoke repro examples clean check fuzz-smoke trace-demo catalog-demo cache-demo load-smoke trace-smoke variant-smoke churn-smoke
+.PHONY: all build test test-race vet fmt lint perfbench-check bench bench-json bench-serving scale-smoke repro examples clean check fuzz-smoke trace-demo catalog-demo cache-demo load-smoke trace-smoke variant-smoke churn-smoke
 
 all: build test
 
 # The full pre-merge gate: build, lint (format + vet), the race-detector
-# suite, a short smoke run of every fuzz target, the serving demos
-# (multi-instance catalog, solve-result cache, reproducible load harness),
-# and the paper-scale coverage smoke.
-check: build lint test-race fuzz-smoke catalog-demo cache-demo load-smoke trace-smoke variant-smoke churn-smoke scale-smoke
+# suite, the benchmark module's vet and tests, a short smoke run of every
+# fuzz target, the serving demos (multi-instance catalog, solve-result
+# cache, reproducible load harness), and the paper-scale coverage smoke.
+check: build lint test-race perfbench-check fuzz-smoke catalog-demo cache-demo load-smoke trace-smoke variant-smoke churn-smoke scale-smoke
 
 build:
 	$(GO) build ./...
@@ -45,6 +45,11 @@ lint:
 
 fmt:
 	gofmt -l -w .
+
+# perfbench is a separate module, so the root `go test ./...` never builds
+# it; this step catches a change that breaks an API the benchmark uses.
+perfbench-check:
+	$(GO) -C perfbench vet ./... && $(GO) -C perfbench test ./...
 
 # trace-demo runs one traced solve and asserts the JSONL trajectory is
 # non-empty and ends with a done record — a smoke test for the tracing

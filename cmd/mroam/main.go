@@ -227,34 +227,30 @@ func cmdSolve(args []string, out io.Writer) error {
 		return err
 	}
 
-	var m experiment.Metrics
 	if tw != nil {
-		// Tracing runs through the anytime engine so the done record can
-		// carry the truncation flag and aggregated cache counters; the
-		// result is bit-identical to the untraced path.
 		tw.Start(alg.Name(), s.Seed, *restarts)
-		start := time.Now()
-		res := core.SolveAnytime(context.Background(), alg, inst)
-		elapsed := time.Since(start)
+	}
+	start := time.Now()
+	res := core.SolveAnytime(context.Background(), alg, inst)
+	elapsed := time.Since(start)
+	if tw != nil {
 		if err := tw.Done(res, elapsed); err != nil {
 			return fmt.Errorf("trace %s: %w", *tracePath, err)
 		}
 		if err := traceBuf.Flush(); err != nil {
 			return fmt.Errorf("trace %s: %w", *tracePath, err)
 		}
-		excess, unsat := res.Plan.Breakdown()
-		m = experiment.Metrics{
-			Algorithm:      alg.Name(),
-			TotalRegret:    res.TotalRegret,
-			Excess:         excess,
-			Unsatisfied:    unsat,
-			SatisfiedCount: res.Plan.SatisfiedCount(),
-			NumAdvertisers: inst.NumAdvertisers(),
-			Runtime:        elapsed,
-			Evals:          res.Evals,
-		}
-	} else {
-		m = experiment.Run(inst, alg)
+	}
+	excess, unsat := res.Plan.Breakdown()
+	m := experiment.Metrics{
+		Algorithm:      alg.Name(),
+		TotalRegret:    res.TotalRegret,
+		Excess:         excess,
+		Unsatisfied:    unsat,
+		SatisfiedCount: res.Plan.SatisfiedCount(),
+		NumAdvertisers: inst.NumAdvertisers(),
+		Runtime:        elapsed,
+		Evals:          res.Evals,
 	}
 	fmt.Fprintf(out, "%s on %s (%s, |A|=%d, |U|=%d, |T|=%d)\n",
 		alg.Name(), info.City, s.Describe(),

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -113,6 +114,19 @@ func TestSolveTrace(t *testing.T) {
 	last := events[len(events)-1]
 	if last.Event != "done" || last.Regret == nil || last.Evals == nil || *last.Evals <= 0 || last.Truncated == nil || *last.Truncated {
 		t.Errorf("bad done record: %+v", last)
+	}
+	// The done record's evals are the solve's, exactly as the summary
+	// reports them.
+	var reported int64 = -1
+	for _, line := range strings.Split(out, "\n") {
+		if _, after, ok := strings.Cut(line, "runtime:"); ok {
+			if _, err := fmt.Sscanf(after[strings.Index(after, "(")+1:], "%d marginal evaluations", &reported); err != nil {
+				t.Fatalf("unparsable runtime line %q: %v", line, err)
+			}
+		}
+	}
+	if last.Evals != nil && *last.Evals != reported {
+		t.Errorf("done record evals %d != reported %d marginal evaluations", *last.Evals, reported)
 	}
 	// The improved trajectory is monotone: strictly decreasing regret,
 	// non-decreasing time, ending at the done record's final regret.

@@ -107,7 +107,7 @@ func greedyOrder(done <-chan struct{}, inst *Instance) (p *Plan, completed bool)
 	return p, true
 }
 
-// SynchronousGreedy is Algorithm 2 (G-Global): it assigns one
+// synchronousGreedyDone is Algorithm 2 (G-Global): it assigns one
 // regret-effective billboard per round to every unsatisfied advertiser,
 // so that no advertiser monopolizes the ideal inventory. When the inventory
 // is exhausted while two or more advertisers remain unsatisfied, the least
@@ -117,12 +117,8 @@ func greedyOrder(done <-chan struct{}, inst *Instance) (p *Plan, completed bool)
 //
 // The plan is modified in place (it plays the S^in role of the paper's
 // pseudo-code, which is non-empty when this routine is invoked from the
-// local search framework) and returned for convenience.
-func SynchronousGreedy(p *Plan) *Plan {
-	synchronousGreedyDone(nil, p)
-	return p
-}
-
+// local search framework). It reports false iff done fired before the
+// greedy converged; a nil done never fires.
 func synchronousGreedyDone(done <-chan struct{}, p *Plan) (completed bool) {
 	inst := p.inst
 	active := make([]bool, inst.NumAdvertisers())
@@ -183,5 +179,7 @@ func synchronousGreedyDone(done <-chan struct{}, p *Plan) (completed bool) {
 // GGlobal runs Algorithm 2 from the empty plan, the G-Global method of the
 // experiment section.
 func GGlobal(inst *Instance) *Plan {
-	return SynchronousGreedy(NewPlan(inst))
+	p := NewPlan(inst)
+	synchronousGreedyDone(nil, p)
+	return p
 }

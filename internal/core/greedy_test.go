@@ -148,7 +148,7 @@ func TestSynchronousGreedyReleasesWeakest(t *testing.T) {
 }
 
 func TestSynchronousGreedyWithSeedPlan(t *testing.T) {
-	// The local search framework calls SynchronousGreedy with a non-empty
+	// The local search framework runs the synchronous greedy on a non-empty
 	// S^in; the seeded assignment must be preserved or improved upon, and
 	// the result must remain valid.
 	r := rng.New(7)
@@ -159,7 +159,7 @@ func TestSynchronousGreedyWithSeedPlan(t *testing.T) {
 	for i := 0; i < inst.NumAdvertisers(); i++ {
 		seeded = append(seeded, p.SetSize(i))
 	}
-	SynchronousGreedy(p)
+	synchronousGreedyDone(nil, p)
 	if err := p.Validate(); err != nil {
 		t.Fatal(err)
 	}

@@ -65,8 +65,7 @@ type LocalSearchOptions struct {
 	// runtime.GOMAXPROCS(0).
 	Workers int
 	// Tracer, when non-nil, receives solver progress events: restart
-	// lifecycle, best-regret improvements, eval-count and gain-cache
-	// counter deltas (trace.go). Tracing is purely observational — the
+	// lifecycle and best-regret improvements (trace.go). Tracing is purely observational — the
 	// solve result is bit-identical with or without it — and the nil
 	// (disabled) path costs nothing. Implementations must be safe for
 	// concurrent use when Workers > 1.
@@ -181,19 +180,16 @@ func localSearchDone(done <-chan struct{}, p *Plan, opts LocalSearchOptions, fro
 	}
 }
 
-// AdvertiserLocalSearch is ALS (Algorithm 4): repeatedly scan all ordered
+// advertiserLocalSearch is ALS (Algorithm 4): repeatedly scan all ordered
 // advertiser pairs and exchange their whole billboard sets whenever that
 // reduces the total regret, until a full sweep makes no exchange (or
-// maxPasses sweeps have run). It returns the number of exchanges performed.
+// maxPasses sweeps have run). It returns the number of exchanges performed
+// and false iff done fired before the search converged; a nil done never
+// fires. A non-nil frozen mask excludes the marked advertisers.
 //
 // Exchanging sets does not change the sets' influences, only which demand
 // each influence is matched against, so each candidate exchange is
 // evaluated in O(1) from cached influences.
-func AdvertiserLocalSearch(p *Plan, maxPasses int) int {
-	exchanges, _ := advertiserLocalSearch(nil, p, maxPasses, nil)
-	return exchanges
-}
-
 func advertiserLocalSearch(done <-chan struct{}, p *Plan, maxPasses int, frozen []bool) (exchanges int, completed bool) {
 	if maxPasses < 1 {
 		maxPasses = DefaultMaxPasses
@@ -233,7 +229,7 @@ func advertiserLocalSearch(done <-chan struct{}, p *Plan, maxPasses int, frozen 
 	return exchanges, true
 }
 
-// BillboardLocalSearch is BLS (Algorithm 5): a fine-grained neighborhood
+// billboardLocalSearch is BLS (Algorithm 5): a fine-grained neighborhood
 // search around the current plan using four moves, applied first-improvement
 // until a full sweep accepts nothing (or MaxPasses sweeps have run):
 //
@@ -245,12 +241,9 @@ func advertiserLocalSearch(done <-chan struct{}, p *Plan, maxPasses int, frozen 
 //
 // A move is accepted only if it reduces total regret by more than the
 // improvement threshold derived from opts.ImprovementRatio (Definition
-// 6.1's r). It returns the number of accepted moves.
-func BillboardLocalSearch(p *Plan, opts LocalSearchOptions) int {
-	accepted, _ := billboardLocalSearch(nil, p, opts, nil)
-	return accepted
-}
-
+// 6.1's r). It returns the number of accepted moves and false iff done
+// fired before the search converged; a nil done never fires. A non-nil
+// frozen mask excludes the marked advertisers from every move.
 func billboardLocalSearch(done <-chan struct{}, p *Plan, opts LocalSearchOptions, frozen []bool) (accepted int, completed bool) {
 	opts = opts.withDefaults()
 	inst := p.inst

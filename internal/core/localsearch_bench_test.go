@@ -12,15 +12,15 @@ import (
 func benchProtoPlan(inst *Instance) *Plan {
 	p := NewPlan(inst)
 	seedRandomPlan(p, rng.New(5))
-	SynchronousGreedy(p)
+	synchronousGreedyDone(nil, p)
 	return p
 }
 
-// BenchmarkBillboardLocalSearch measures one full BLS improvement of a
+// BenchmarkBLSDescent measures one full BLS improvement of a
 // seeded baseline. The allocation count is the headline: the sweep reuses
 // its member/free-list buffers and one scratch trial plan, so allocs/op
 // stays flat in the number of passes and moves.
-func BenchmarkBillboardLocalSearch(b *testing.B) {
+func BenchmarkBLSDescent(b *testing.B) {
 	inst := randomInstance(rng.New(9), 2000, 120, 60, 8, 1.2, 0.5)
 	proto := benchProtoPlan(inst)
 	scratch := proto.Clone()
@@ -29,7 +29,7 @@ func BenchmarkBillboardLocalSearch(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		scratch.CopyFrom(proto)
-		BillboardLocalSearch(scratch, opts)
+		billboardLocalSearch(nil, scratch, opts, nil)
 	}
 }
 

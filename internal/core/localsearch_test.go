@@ -41,7 +41,7 @@ func TestExample3BLSBeatsALS(t *testing.T) {
 	// ALS: exchanging S_1 and S_2 gives R = 5·(1−0.5·2/5) + 4·(5−4)/4 = 5,
 	// worse, so ALS accepts nothing and the regret stays at 3.
 	alsPlan := build()
-	if n := AdvertiserLocalSearch(alsPlan, 10); n != 0 {
+	if n, _ := advertiserLocalSearch(nil, alsPlan, 10, nil); n != 0 {
 		t.Fatalf("ALS made %d exchanges, want 0", n)
 	}
 	if alsPlan.TotalRegret() != 3 {
@@ -51,7 +51,7 @@ func TestExample3BLSBeatsALS(t *testing.T) {
 	// BLS: exchanging o1 ↔ o3 yields S_1 = {o2, o3} (I = 5) and
 	// S_2 = {o1} (I = 4), total regret 0.
 	blsPlan := build()
-	BillboardLocalSearch(blsPlan, LocalSearchOptions{})
+	billboardLocalSearch(nil, blsPlan, LocalSearchOptions{}, nil)
 	if err := blsPlan.Validate(); err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +77,7 @@ func TestAdvertiserLocalSearchFindsGoodPairing(t *testing.T) {
 	if p.TotalRegret() == 0 {
 		t.Fatal("test setup should start with positive regret")
 	}
-	n := AdvertiserLocalSearch(p, 10)
+	n, _ := advertiserLocalSearch(nil, p, 10, nil)
 	if n != 1 {
 		t.Fatalf("ALS exchanges = %d, want 1", n)
 	}
@@ -100,7 +100,7 @@ func TestBLSReleaseMove(t *testing.T) {
 	p := NewPlan(inst)
 	p.Assign(0, 0)
 	p.Assign(1, 0) // influence 8 vs demand 4: regret 8
-	BillboardLocalSearch(p, LocalSearchOptions{})
+	billboardLocalSearch(nil, p, LocalSearchOptions{}, nil)
 	if p.TotalRegret() != 0 {
 		t.Fatalf("BLS regret = %v, want 0 (release move)", p.TotalRegret())
 	}
@@ -118,7 +118,7 @@ func TestBLSReplaceMove(t *testing.T) {
 	inst := MustInstance(u, []Advertiser{{Demand: 3, Payment: 6}}, 0.5)
 	p := NewPlan(inst)
 	p.Assign(0, 0)
-	BillboardLocalSearch(p, LocalSearchOptions{})
+	billboardLocalSearch(nil, p, LocalSearchOptions{}, nil)
 	if p.TotalRegret() != 0 {
 		t.Fatalf("BLS regret = %v, want 0 (replace move)", p.TotalRegret())
 	}
@@ -137,7 +137,7 @@ func TestBLSAllocateMove(t *testing.T) {
 	inst := MustInstance(u, []Advertiser{{Demand: 6, Payment: 12}}, 0.5)
 	p := NewPlan(inst)
 	p.Assign(0, 0) // influence 3 < 6; b1 free
-	BillboardLocalSearch(p, LocalSearchOptions{})
+	billboardLocalSearch(nil, p, LocalSearchOptions{}, nil)
 	if p.TotalRegret() != 0 {
 		t.Fatalf("BLS regret = %v, want 0 (allocate move)", p.TotalRegret())
 	}
@@ -236,7 +236,7 @@ func TestBLSImprovementRatioLimitsMoves(t *testing.T) {
 	p.Assign(0, 0)
 	p.Assign(1, 0)
 	before := p.TotalRegret()
-	n := BillboardLocalSearch(p, LocalSearchOptions{ImprovementRatio: 100})
+	n, _ := billboardLocalSearch(nil, p, LocalSearchOptions{ImprovementRatio: 100}, nil)
 	if n != 0 || p.TotalRegret() != before {
 		t.Fatalf("threshold ignored: %d moves, regret %v → %v", n, before, p.TotalRegret())
 	}
@@ -272,7 +272,7 @@ func TestBLSApproximateLocalMaximum(t *testing.T) {
 	r := rng.New(2024)
 	inst := randomInstance(r, 300, 20, 30, 3, 1.0, 0.5)
 	p := GGlobal(inst)
-	BillboardLocalSearch(p, LocalSearchOptions{})
+	billboardLocalSearch(nil, p, LocalSearchOptions{}, nil)
 	for i := 0; i < inst.NumAdvertisers(); i++ {
 		for _, b := range p.Set(i, nil) {
 			loss := p.LossOf(i, b)

@@ -108,18 +108,12 @@ func runRestarts(ctx context.Context, inst *Instance, opts LocalSearchOptions) (
 		completed := synchronousGreedyDone(done, p) && localSearchDone(done, p, opts, frozen)
 		if !completed {
 			partials[job] = p
-			if tr != nil {
-				tr.Evals(p.Evals())
-				tr.Cache(p.CacheStats())
-			}
 			return
 		}
 		results[job] = p
 		if tr != nil {
 			regret := p.TotalRegret()
 			tr.RestartDone(job, regret, p.Evals(), time.Since(t0))
-			tr.Evals(p.Evals())
-			tr.Cache(p.CacheStats())
 			// Emitting under the lock keeps Improved calls strictly
 			// decreasing in regret and non-decreasing in elapsed time
 			// even when several slots finish simultaneously.

@@ -3,10 +3,10 @@ package core
 import "time"
 
 // This file defines the solver probe interface: a Tracer receives progress
-// events from the randomized local search framework (restart lifecycle,
-// best-regret improvements, eval-count and gain-cache counter deltas) so
-// that serving layers can meter solves and the CLI can record the paper's
-// regret-vs-time convergence trajectories.
+// events from the randomized local search framework (restart lifecycle and
+// best-regret improvements) so that serving layers can trace solves and the
+// CLI can record the paper's regret-vs-time convergence trajectories. Work
+// counters are not events: the returned Anytime carries their totals.
 //
 // Tracing is strictly observational. Every hook site is nil-checked, the
 // solvers never read anything back from the tracer, and all wall-clock
@@ -41,12 +41,6 @@ type Tracer interface {
 	// Anytime regret can exceed the last Improved regret; with no
 	// truncation they agree.
 	Improved(slot int, regret float64, elapsed time.Duration)
-	// Evals reports the marginal-evaluation delta of a finished (or
-	// abandoned) slot. Deltas sum to the Anytime.Evals work measure.
-	Evals(delta int64)
-	// Cache reports the gain-cache counter delta of a finished (or
-	// abandoned) slot.
-	Cache(delta CacheStats)
 }
 
 // TracerFuncs adapts a set of optional callbacks to the Tracer interface;
@@ -56,8 +50,6 @@ type TracerFuncs struct {
 	OnRestartStart func(slot int, elapsed time.Duration)
 	OnRestartDone  func(slot int, regret float64, evals int64, elapsed time.Duration)
 	OnImproved     func(slot int, regret float64, elapsed time.Duration)
-	OnEvals        func(delta int64)
-	OnCache        func(delta CacheStats)
 }
 
 // RestartStart implements Tracer.
@@ -78,19 +70,5 @@ func (t TracerFuncs) RestartDone(slot int, regret float64, evals int64, elapsed 
 func (t TracerFuncs) Improved(slot int, regret float64, elapsed time.Duration) {
 	if t.OnImproved != nil {
 		t.OnImproved(slot, regret, elapsed)
-	}
-}
-
-// Evals implements Tracer.
-func (t TracerFuncs) Evals(delta int64) {
-	if t.OnEvals != nil {
-		t.OnEvals(delta)
-	}
-}
-
-// Cache implements Tracer.
-func (t TracerFuncs) Cache(delta CacheStats) {
-	if t.OnCache != nil {
-		t.OnCache(delta)
 	}
 }

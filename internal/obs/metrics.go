@@ -1,8 +1,8 @@
 // Package obs is the reproduction's stdlib-only observability toolkit:
 // lock-free metrics primitives with a hand-rolled Prometheus text-format
-// exposition, per-request ID generation and context propagation, structured
-// logging helpers over log/slog, and solver-trace recorders (JSONL and
-// slog) implementing core.Tracer.
+// exposition, per-request ID generation, structured logging helpers over
+// log/slog, and the two core.Tracer implementations: the JSONL trajectory
+// writer and the serving layer's restart tracer (spans and Debug lines).
 //
 // The package deliberately has no third-party dependencies: the repo's
 // contract is that go.mod stays dependency-free, so the subset of the

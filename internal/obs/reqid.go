@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"context"
 	"crypto/rand"
 	"encoding/hex"
 	"fmt"
@@ -29,17 +28,4 @@ var reqIDSeq atomic.Uint64
 // NewRequestID mints a process-unique request ID such as "3fa95c1b-000042".
 func NewRequestID() string {
 	return fmt.Sprintf("%s-%06d", reqIDPrefix, reqIDSeq.Add(1))
-}
-
-type reqIDKey struct{}
-
-// WithRequestID returns a context carrying the request ID.
-func WithRequestID(ctx context.Context, id string) context.Context {
-	return context.WithValue(ctx, reqIDKey{}, id)
-}
-
-// RequestID returns the request ID carried by ctx, or "" when absent.
-func RequestID(ctx context.Context) string {
-	id, _ := ctx.Value(reqIDKey{}).(string)
-	return id
 }

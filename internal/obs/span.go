@@ -1,9 +1,11 @@
 package obs
 
 import (
+	"context"
 	"crypto/rand"
 	"encoding/hex"
 	"fmt"
+	"log/slog"
 	"sort"
 	"strconv"
 	"strings"
@@ -164,15 +166,10 @@ func (r *SpanRecorder) Spans() []Span {
 	return append([]Span(nil), r.spans...)
 }
 
-// StartSpan opens a span starting now. parentID may be "" (a root) or a
-// span ID the recorder never saw (a client's traceparent span).
-func (r *SpanRecorder) StartSpan(name, parentID string) *ActiveSpan {
-	return r.StartSpanAt(name, parentID, time.Now())
-}
-
 // StartSpanAt opens a span with an explicit start instant, so contiguous
 // phases can share exact boundary timestamps and solver callbacks can
-// reconstruct span starts from elapsed offsets.
+// reconstruct span starts from elapsed offsets. parentID may be "" (a root)
+// or a span ID the recorder never saw (a client's traceparent span).
 func (r *SpanRecorder) StartSpanAt(name, parentID string, at time.Time) *ActiveSpan {
 	return &ActiveSpan{
 		rec: r,
@@ -194,11 +191,8 @@ type ActiveSpan struct {
 	ended bool
 }
 
-// ID returns the span's ID, usable as a child's parent before End.
+// ID returns the span's ID, usable as a child's parent before EndAt.
 func (s *ActiveSpan) ID() string { return s.span.SpanID }
-
-// Start returns the span's start instant.
-func (s *ActiveSpan) Start() time.Time { return s.span.Start }
 
 // SetAttr annotates the span. Values are stringified with %v.
 func (s *ActiveSpan) SetAttr(key string, value any) {
@@ -208,21 +202,13 @@ func (s *ActiveSpan) SetAttr(key string, value any) {
 	s.span.Attrs[key] = fmt.Sprint(value)
 }
 
-// StartChild opens a child span starting now.
-func (s *ActiveSpan) StartChild(name string) *ActiveSpan {
-	return s.rec.StartSpanAt(name, s.span.SpanID, time.Now())
-}
-
 // StartChildAt opens a child span with an explicit start instant.
 func (s *ActiveSpan) StartChildAt(name string, at time.Time) *ActiveSpan {
 	return s.rec.StartSpanAt(name, s.span.SpanID, at)
 }
 
-// End completes the span as of now and records it. End is idempotent: the
-// second call is a no-op, so error paths can End defensively.
-func (s *ActiveSpan) End() { s.EndAt(time.Now()) }
-
-// EndAt completes the span as of the given instant and records it.
+// EndAt completes the span as of the given instant and records it. EndAt is
+// idempotent: the second call is a no-op.
 func (s *ActiveSpan) EndAt(at time.Time) {
 	if s.ended {
 		return
@@ -235,29 +221,44 @@ func (s *ActiveSpan) EndAt(at time.Time) {
 // Duration returns the span's recorded duration (0 until ended).
 func (s *ActiveSpan) Duration() time.Duration { return s.span.Duration }
 
-// SpanTracer adapts the solver probe interface (core.Tracer) to span
-// recording: each restart slot of the local-search schedule becomes one
-// child span under the request's solve span, annotated with the slot's
-// local-optimum regret and eval count, plus an "improved" attribute when
-// the slot improved the incumbent. Begin must be called (once) before the
-// solve starts; the zero value ignores all events, so a SpanTracer can be
-// constructed early and armed late.
+// RestartTracer is the serving layer's core.Tracer, one per solve. It
+// emits each restart event in up to two forms: a Debug log line ("restart
+// start", "restart done", "incumbent improved") when its logger admits
+// Debug, and — once Begin arms it under the request's solve span — one
+// "restart" child span per slot, annotated with the slot's local-optimum
+// regret and eval count plus an "improved" attribute when the slot improved
+// the incumbent.
 //
-// The tracer derives span boundaries purely from the elapsed offsets the
-// engine already reports, so attaching it reads no additional clocks on
+// Span boundaries are derived purely from the elapsed offsets the engine
+// already reports, so attaching the tracer reads no additional clocks on
 // the solver hot path and cannot perturb results (the engine's hooks are
 // observational; see core.Tracer).
-type SpanTracer struct {
+type RestartTracer struct {
+	log *slog.Logger // nil unless the request logger admits Debug
+
 	mu     sync.Mutex
-	rec    *SpanRecorder
+	rec    *SpanRecorder // nil until Begin
 	parent string
 	start  time.Time
 	open   map[int]*ActiveSpan // slot → span between RestartStart and RestartDone
 }
 
-// Begin arms the tracer: slot spans become children of parent, with
+// NewRestartTracer returns the tracer for one solve, or nil when it would
+// emit nothing: log is kept only if it admits Debug, and spans says whether
+// the request records a trace (Begin is then called at solve start).
+func NewRestartTracer(log *slog.Logger, spans bool) *RestartTracer {
+	if log != nil && !log.Enabled(context.Background(), slog.LevelDebug) {
+		log = nil
+	}
+	if log == nil && !spans {
+		return nil
+	}
+	return &RestartTracer{log: log}
+}
+
+// Begin arms span recording: slot spans become children of parent, with
 // elapsed offsets resolved against start.
-func (t *SpanTracer) Begin(parent *ActiveSpan, start time.Time) {
+func (t *RestartTracer) Begin(parent *ActiveSpan, start time.Time) {
 	t.mu.Lock()
 	t.rec = parent.rec
 	t.parent = parent.ID()
@@ -267,7 +268,10 @@ func (t *SpanTracer) Begin(parent *ActiveSpan, start time.Time) {
 }
 
 // RestartStart implements core.Tracer.
-func (t *SpanTracer) RestartStart(slot int, elapsed time.Duration) {
+func (t *RestartTracer) RestartStart(slot int, elapsed time.Duration) {
+	if t.log != nil {
+		t.log.Debug("restart start", "slot", slot, "t_ms", durMS(elapsed))
+	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if t.rec == nil {
@@ -279,7 +283,10 @@ func (t *SpanTracer) RestartStart(slot int, elapsed time.Duration) {
 }
 
 // RestartDone implements core.Tracer.
-func (t *SpanTracer) RestartDone(slot int, regret float64, evals int64, elapsed time.Duration) {
+func (t *RestartTracer) RestartDone(slot int, regret float64, evals int64, elapsed time.Duration) {
+	if t.log != nil {
+		t.log.Debug("restart done", "slot", slot, "regret", regret, "evals", evals, "t_ms", durMS(elapsed))
+	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	sp := t.open[slot]
@@ -294,7 +301,10 @@ func (t *SpanTracer) RestartDone(slot int, regret float64, evals int64, elapsed 
 
 // Improved implements core.Tracer: the improving slot's span is annotated
 // rather than opening an event span of its own.
-func (t *SpanTracer) Improved(slot int, regret float64, elapsed time.Duration) {
+func (t *RestartTracer) Improved(slot int, regret float64, elapsed time.Duration) {
+	if t.log != nil {
+		t.log.Debug("incumbent improved", "slot", slot, "regret", regret, "t_ms", durMS(elapsed))
+	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if sp := t.open[slot]; sp != nil {
@@ -302,13 +312,9 @@ func (t *SpanTracer) Improved(slot int, regret float64, elapsed time.Duration) {
 	}
 }
 
-// Evals implements core.Tracer.
-func (t *SpanTracer) Evals(int64) {}
+func durMS(d time.Duration) float64 { return float64(d.Microseconds()) / 1e3 }
 
-// Cache implements core.Tracer.
-func (t *SpanTracer) Cache(core.CacheStats) {}
-
-var _ core.Tracer = (*SpanTracer)(nil)
+var _ core.Tracer = (*RestartTracer)(nil)
 
 // FormatServerTiming renders a Server-Timing header value attributing the
 // server-side phases of one request (all durations in milliseconds, the

@@ -5,8 +5,6 @@ import (
 	"sync"
 	"testing"
 	"time"
-
-	"repro/internal/core"
 )
 
 func TestTraceparentRoundTrip(t *testing.T) {
@@ -81,7 +79,7 @@ func TestSpanRecorderTree(t *testing.T) {
 	solve.SetAttr("algorithm", "BLS")
 	solve.EndAt(t0.Add(9 * time.Millisecond))
 	root.EndAt(t0.Add(9 * time.Millisecond))
-	// End is idempotent.
+	// EndAt is idempotent.
 	root.EndAt(t0.Add(99 * time.Millisecond))
 
 	spans := rec.Spans()
@@ -122,13 +120,16 @@ func TestSpanRecorderTree(t *testing.T) {
 	}
 }
 
-func TestSpanTracer(t *testing.T) {
+func TestRestartTracer(t *testing.T) {
+	if tr := NewRestartTracer(NopLogger(), false); tr != nil {
+		t.Fatal("tracer with neither spans nor Debug logging is not nil")
+	}
 	rec := NewSpanRecorder("")
 	t0 := time.Date(2026, 8, 8, 12, 0, 0, 0, time.UTC)
 	solve := rec.StartSpanAt("solve", "", t0)
 
-	var tr SpanTracer
-	// Zero value ignores events entirely.
+	tr := NewRestartTracer(NopLogger(), true)
+	// Unarmed, it records no spans.
 	tr.RestartStart(0, 0)
 	tr.RestartDone(0, 1.5, 10, time.Millisecond)
 	if n := len(rec.Spans()); n != 0 {
@@ -150,11 +151,9 @@ func TestSpanTracer(t *testing.T) {
 		}(slot)
 	}
 	wg.Wait()
-	// Unknown-slot Done and no-op hooks must be harmless.
+	// Unknown-slot events must be harmless.
 	tr.RestartDone(99, 0, 0, 0)
 	tr.Improved(99, 0, 0)
-	tr.Evals(123)
-	tr.Cache(core.CacheStats{})
 
 	spans := rec.Spans()
 	if len(spans) != 4 {

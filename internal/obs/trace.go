@@ -3,7 +3,6 @@ package obs
 import (
 	"encoding/json"
 	"io"
-	"log/slog"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -17,7 +16,8 @@ import (
 // events form a monotone non-increasing best-regret series (the engine
 // serializes them in strictly decreasing regret order); restart_start /
 // restart_done events carry the per-slot schedule, and the final done
-// record (written by Done) aggregates evals and gain-cache counters.
+// record (written by Done) carries the solve's evals and gain-cache
+// counters.
 //
 // All methods are safe for concurrent use — the restart loop invokes the
 // tracer from every worker goroutine.
@@ -25,10 +25,6 @@ type TraceWriter struct {
 	mu       sync.Mutex
 	w        io.Writer
 	err      error
-	evals    atomic.Int64
-	hits     atomic.Int64
-	misses   atomic.Int64
-	rescans  atomic.Int64
 	improved atomic.Int64
 }
 
@@ -99,118 +95,29 @@ func (t *TraceWriter) Improved(slot int, regret float64, elapsed time.Duration) 
 	t.write(traceEvent{Event: "improved", Slot: &slot, Regret: &regret, TMS: ms(elapsed)})
 }
 
-// Evals implements core.Tracer; deltas are aggregated into the done record.
-func (t *TraceWriter) Evals(delta int64) { t.evals.Add(delta) }
-
-// Cache implements core.Tracer; deltas are aggregated into the done record.
-func (t *TraceWriter) Cache(delta core.CacheStats) {
-	t.hits.Add(delta.Hits)
-	t.misses.Add(delta.Misses)
-	t.rescans.Add(delta.Rescans)
-}
-
 // Improvements returns how many improved events have been written.
 func (t *TraceWriter) Improvements() int64 { return t.improved.Load() }
 
 // Done writes the trailing record carrying the solve's final (reduced)
-// regret and the aggregated work counters, and returns the first write
-// error encountered, if any. If the solve emitted no per-restart events
-// (the greedy algorithms have no restart loop), the done record is still
+// regret and its work counters (res.Evals and res.Cache, which count every
+// slot's work, abandoned ones included), and returns the first write error
+// encountered, if any. If the solve emitted no per-restart events (the
+// greedy algorithms have no restart loop), the done record is still
 // written, so a trace file is never empty.
 func (t *TraceWriter) Done(res *core.Anytime, elapsed time.Duration) error {
-	evals := t.evals.Load()
-	if evals == 0 {
-		evals = res.Evals
-	}
-	hits, misses, rescans := t.hits.Load(), t.misses.Load(), t.rescans.Load()
-	if hits == 0 && misses == 0 && rescans == 0 {
-		hits, misses, rescans = res.Cache.Hits, res.Cache.Misses, res.Cache.Rescans
-	}
 	t.write(traceEvent{
 		Event:     "done",
 		TMS:       ms(elapsed),
 		Regret:    &res.TotalRegret,
-		Evals:     &evals,
+		Evals:     &res.Evals,
 		Truncated: &res.Truncated,
-		Hits:      &hits,
-		Misses:    &misses,
-		Rescans:   &rescans,
+		Hits:      &res.Cache.Hits,
+		Misses:    &res.Cache.Misses,
+		Rescans:   &res.Cache.Rescans,
 	})
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	return t.err
 }
 
-// LogTracer implements core.Tracer by logging solver progress events at
-// Debug level, carrying whatever attributes the logger was bound with
-// (typically the request ID). Counter deltas (Evals, Cache) are not
-// logged per-slot; they surface in the per-request summary line instead.
-type LogTracer struct {
-	L *slog.Logger
-}
-
-// RestartStart implements core.Tracer.
-func (t LogTracer) RestartStart(slot int, elapsed time.Duration) {
-	t.L.Debug("restart start", "slot", slot, "t_ms", durMS(elapsed))
-}
-
-// RestartDone implements core.Tracer.
-func (t LogTracer) RestartDone(slot int, regret float64, evals int64, elapsed time.Duration) {
-	t.L.Debug("restart done", "slot", slot, "regret", regret, "evals", evals, "t_ms", durMS(elapsed))
-}
-
-// Improved implements core.Tracer.
-func (t LogTracer) Improved(slot int, regret float64, elapsed time.Duration) {
-	t.L.Debug("incumbent improved", "slot", slot, "regret", regret, "t_ms", durMS(elapsed))
-}
-
-// Evals implements core.Tracer.
-func (t LogTracer) Evals(int64) {}
-
-// Cache implements core.Tracer.
-func (t LogTracer) Cache(core.CacheStats) {}
-
-func durMS(d time.Duration) float64 { return float64(d.Microseconds()) / 1e3 }
-
 var _ core.Tracer = (*TraceWriter)(nil)
-var _ core.Tracer = LogTracer{}
-
-// MultiTracer fans events out to several tracers in order.
-type MultiTracer []core.Tracer
-
-// RestartStart implements core.Tracer.
-func (m MultiTracer) RestartStart(slot int, elapsed time.Duration) {
-	for _, t := range m {
-		t.RestartStart(slot, elapsed)
-	}
-}
-
-// RestartDone implements core.Tracer.
-func (m MultiTracer) RestartDone(slot int, regret float64, evals int64, elapsed time.Duration) {
-	for _, t := range m {
-		t.RestartDone(slot, regret, evals, elapsed)
-	}
-}
-
-// Improved implements core.Tracer.
-func (m MultiTracer) Improved(slot int, regret float64, elapsed time.Duration) {
-	for _, t := range m {
-		t.Improved(slot, regret, elapsed)
-	}
-}
-
-// Evals implements core.Tracer.
-func (m MultiTracer) Evals(delta int64) {
-	for _, t := range m {
-		t.Evals(delta)
-	}
-}
-
-// Cache implements core.Tracer.
-func (m MultiTracer) Cache(delta core.CacheStats) {
-	for _, t := range m {
-		t.Cache(delta)
-	}
-}
-
-var _ core.Tracer = MultiTracer(nil)

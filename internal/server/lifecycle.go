@@ -1,26 +1,46 @@
 package server
 
 import (
+	"fmt"
+	"log/slog"
 	"net/http"
 	"time"
 
 	"repro/internal/obs"
 )
 
-// reqLifecycle tracks one /solve request's phase boundaries — admission →
-// cache lookup → queue wait → solve → encode — and, when the server has a
-// span store, records the same boundaries as a span tree. The phase
-// timestamps always exist (they feed the mroamd_queue_wait_seconds and
-// mroamd_solve_phase_seconds histograms and the Server-Timing header);
-// spans exist only when tracing is enabled, so the disabled path mints no
-// IDs and allocates nothing per request beyond this struct.
-//
-// Adjacent phases share their boundary timestamp, so phase durations sum
-// exactly (integer nanoseconds) to the root span's duration — the property
-// the trace-smoke target and TestTracePhaseSums assert.
+// phase is one stage of a /solve request's server time. The stages of
+// handleSolve cross from one phase to the next through reqLifecycle.enter,
+// the only place phase spans are opened and closed and phase histograms
+// observed.
+type phase uint8
+
+const (
+	phaseAdmission   phase = iota // decode, validate, resolve
+	phaseCacheLookup              // the solve-cache fast-path probe
+	phaseQueue                    // admission checks and the wait for a worker slot
+	phaseSolve                    // solver (or coalesced flight) execution
+	phaseEncode                   // response serialization
+	numPhases
+)
+
+// phaseNames are the phases' span names.
+var phaseNames = [numPhases]string{"admission", "cache_lookup", "queue", "solve", "encode"}
+
+// reqLifecycle is one /solve request's phase table and its single exit. The
+// table holds the open phase, where it started and every closed phase's
+// duration; Server-Timing, the mroamd_solve_phase_seconds and
+// mroamd_queue_wait_seconds histograms and, when the server has a span
+// store, the request's span tree are all read from it. Adjacent phases share
+// their boundary instant, so phase durations sum exactly (integer
+// nanoseconds) to the root span's duration — the property the trace-smoke
+// target and TestTraceEndToEnd assert. Spans exist only when tracing is
+// enabled, so the disabled path mints no IDs.
 type reqLifecycle struct {
+	w     http.ResponseWriter
 	m     *metrics
 	store *obs.SpanStore
+	log   *slog.Logger // the request's logger, bound to its ID
 
 	start time.Time
 	// requestID is the X-Request-ID value: the client's trace ID when it
@@ -33,26 +53,30 @@ type reqLifecycle struct {
 
 	rec    *obs.SpanRecorder
 	root   *obs.ActiveSpan
-	phase  *obs.ActiveSpan // currently open phase span (child of root)
-	tracer *obs.SpanTracer // armed at solve start; restart slots become spans
+	span   *obs.ActiveSpan    // the open phase's span (child of root)
+	tracer *obs.RestartTracer // nil unless spans or Debug logging are on
 
-	queueAt   time.Time     // queue phase start
-	queueWait time.Duration // known once a worker slot was acquired
-	solveDur  time.Duration // known once the solve phase ended
-	encodeAt  time.Time     // encode phase start; zero if never reached
+	cur   phase
+	curAt time.Time
+	// histAt is where the open histogram observation began: consecutive
+	// phases observed into one histogram (admission and the cache probe)
+	// make one observation.
+	histAt time.Time
+	dur    [numPhases]time.Duration
 
 	instance  string
 	algorithm string
 	model     string
-	done      bool
 }
 
-// startLifecycle begins a request's lifecycle at its arrival instant:
-// resolves the trace identity from the incoming traceparent header, opens
-// the root and admission spans when tracing is enabled, and stamps the
-// response's traceparent echo so every answer — including 429s — carries it.
+// startLifecycle begins a request's lifecycle at its arrival instant in the
+// admission phase: resolves the trace identity from the incoming
+// traceparent header, binds the request logger, opens the root and
+// admission spans when tracing is enabled, and stamps the X-Request-ID and
+// traceparent response headers so every answer — including 429s — carries
+// them.
 func (s *Server) startLifecycle(w http.ResponseWriter, r *http.Request, start time.Time) *reqLifecycle {
-	lc := &reqLifecycle{m: s.metrics, store: s.traces, start: start}
+	lc := &reqLifecycle{w: w, m: s.metrics, store: s.traces, start: start, curAt: start, histAt: start}
 	clientTrace, clientSpan, sampled, ok := obs.ParseTraceparent(r.Header.Get("Traceparent"))
 	if ok {
 		// The client's trace ID is the request's identity end to end: the
@@ -67,8 +91,7 @@ func (s *Server) startLifecycle(w http.ResponseWriter, r *http.Request, start ti
 		lc.rec = obs.NewSpanRecorder(clientTrace)
 		lc.traceID = lc.rec.TraceID()
 		lc.root = lc.rec.StartSpanAt("request", clientSpan, start)
-		lc.phase = lc.root.StartChildAt("admission", start)
-		lc.tracer = &obs.SpanTracer{}
+		lc.span = lc.root.StartChildAt(phaseNames[phaseAdmission], start)
 		// Echo our root span as the server's contribution to the trace.
 		w.Header().Set("Traceparent", obs.FormatTraceparent(lc.traceID, lc.root.ID(), true))
 	} else if ok {
@@ -76,6 +99,12 @@ func (s *Server) startLifecycle(w http.ResponseWriter, r *http.Request, start ti
 		// (normalized), so propagation round-trips are observable.
 		w.Header().Set("Traceparent", obs.FormatTraceparent(clientTrace, clientSpan, sampled))
 	}
+	w.Header().Set("X-Request-ID", lc.requestID)
+	lc.log = s.log.With("req", lc.requestID)
+	if lc.traceID != "" && lc.traceID != lc.requestID {
+		lc.log = lc.log.With("trace", lc.traceID)
+	}
+	lc.tracer = obs.NewRestartTracer(lc.log, lc.rec != nil)
 	return lc
 }
 
@@ -84,88 +113,74 @@ func (s *Server) startLifecycle(w http.ResponseWriter, r *http.Request, start ti
 // regret-model kind.
 func (l *reqLifecycle) noteTarget(instance, algorithm, model string) {
 	l.instance, l.algorithm, l.model = instance, algorithm, model
+	l.setAttr("instance", instance)
+	l.setAttr("algorithm", algorithm)
+	l.setAttr("model", model)
+}
+
+// setAttr annotates the request's root span (no-op without tracing).
+func (l *reqLifecycle) setAttr(key string, value any) {
 	if l.root != nil {
-		l.root.SetAttr("instance", instance)
-		l.root.SetAttr("algorithm", algorithm)
-		l.root.SetAttr("model", model)
+		l.root.SetAttr(key, value)
 	}
 }
 
-// nextPhase closes the open phase span and opens the next at the same
-// instant (no-op without tracing).
-func (l *reqLifecycle) nextPhase(name string, at time.Time) {
+// enter is the stage boundary: it closes the open phase at `at` and opens
+// next at the same instant. The closed phase's time is observed into its
+// histogram once the next phase belongs to a different one, its span ends
+// and next's span starts, and entering the solve phase arms the restart
+// tracer under the solve span.
+func (l *reqLifecycle) enter(next phase, at time.Time) {
+	l.dur[l.cur] = at.Sub(l.curAt)
+	if h := l.m.phaseHist[l.cur]; h != l.m.phaseHist[next] {
+		h.Observe(at.Sub(l.histAt).Seconds())
+		l.histAt = at
+	}
+	l.cur, l.curAt = next, at
 	if l.rec == nil {
 		return
 	}
-	l.phase.EndAt(at)
-	l.phase = l.root.StartChildAt(name, at)
-}
-
-// enterCacheLookup marks the boundary between request admission work and
-// the solve-cache fast-path probe.
-func (l *reqLifecycle) enterCacheLookup(at time.Time) {
-	l.nextPhase("cache_lookup", at)
-}
-
-// cacheHit marks a fast-path answer: the request goes straight to encoding,
-// never holding a queue or worker token. Only the admission phase histogram
-// is observed — there was no queue wait and no solve.
-func (l *reqLifecycle) cacheHit(at time.Time) {
-	l.m.solvePhase.With("admission").Observe(at.Sub(l.start).Seconds())
-	l.encodeAt = at
-	if l.root != nil {
-		l.root.SetAttr("cached", true)
-	}
-	l.nextPhase("encode", at)
-}
-
-// enterQueue ends the admission work (observed into the admission phase
-// histogram, cache probe included) and starts the queue wait.
-func (l *reqLifecycle) enterQueue(at time.Time) {
-	l.queueAt = at
-	l.m.solvePhase.With("admission").Observe(at.Sub(l.start).Seconds())
-	l.nextPhase("queue", at)
-}
-
-// enterSolve records the queue wait — measured here, at worker-slot
-// acquisition, so it is never folded into the solve phase — and arms the
-// restart-slot tracer under the solve span.
-func (l *reqLifecycle) enterSolve(at time.Time) {
-	l.queueWait = at.Sub(l.queueAt)
-	l.m.queueWait.Observe(l.queueWait.Seconds())
-	l.nextPhase("solve", at)
-	if l.tracer != nil {
-		l.tracer.Begin(l.phase, at)
+	l.span.EndAt(at)
+	l.span = l.root.StartChildAt(phaseNames[next], at)
+	if next == phaseSolve && l.tracer != nil {
+		l.tracer.Begin(l.span, at)
 	}
 }
 
-// enterEncode ends the solve phase (observed into the solve phase
-// histogram, queue wait excluded by construction) and starts encoding. at
-// is the solve's end boundary — the solve start plus solveDur, so the span
-// layout stays contiguous.
-func (l *reqLifecycle) enterEncode(at time.Time, solveDur time.Duration) {
-	l.solveDur = solveDur
-	l.m.solvePhase.With("solve").Observe(solveDur.Seconds())
-	l.encodeAt = at
-	l.nextPhase("encode", at)
+// fail answers the request with an error body; see finish.
+func (l *reqLifecycle) fail(status int, outcome, format string, args ...any) {
+	msg := fmt.Sprintf(format, args...)
+	l.finish(status, outcome, errorResponse{Error: msg}, "error", msg)
 }
 
-// finish completes the lifecycle: ends the open phase and the root span at
-// one shared instant, observes the encode phase, and offers the trace to
-// the store (tail-sampled). Idempotent; error paths call it defensively.
-func (l *reqLifecycle) finish(status int, outcome string) {
-	if l.done {
-		return
+// finish is every /solve request's one exit, served or not: it emits the
+// request's log line (attrs plus status and elapsed time), writes the
+// response — with the Server-Timing header when served — and closes the
+// phase table and the trace with the outcome. Only a served request
+// completes its open phase (encode), so only then is that phase observed;
+// a phase an error exit cut short contributes nothing to the histograms.
+func (l *reqLifecycle) finish(status int, outcome string, body any, attrs ...any) {
+	attrs = append(attrs,
+		"status", status,
+		"elapsed_ms", durationMS(time.Since(l.start)))
+	l.log.Info("solve request", attrs...)
+	served := status == http.StatusOK
+	if served {
+		// Encoding happens after the headers flush, so total is the server
+		// time up to here.
+		l.w.Header().Set("Server-Timing",
+			obs.FormatServerTiming(l.dur[phaseQueue], l.dur[phaseSolve], time.Since(l.start)))
 	}
-	l.done = true
+	writeJSON(l.w, status, body)
+
 	end := time.Now()
-	if !l.encodeAt.IsZero() {
-		l.m.solvePhase.With("encode").Observe(end.Sub(l.encodeAt).Seconds())
+	if served {
+		l.m.phaseHist[l.cur].Observe(end.Sub(l.histAt).Seconds())
 	}
 	if l.rec == nil {
 		return
 	}
-	l.phase.EndAt(end)
+	l.span.EndAt(end)
 	l.root.SetAttr("outcome", outcome)
 	l.root.EndAt(end)
 	spans := l.rec.Spans()
@@ -181,11 +196,4 @@ func (l *reqLifecycle) finish(status int, outcome string) {
 		Status:    status,
 		Spans:     spans,
 	})
-}
-
-// serverTiming renders the Server-Timing header for this request: queue
-// wait, solve time and total server time so far (encoding happens after
-// headers flush and cannot be included).
-func (l *reqLifecycle) serverTiming() string {
-	return obs.FormatServerTiming(l.queueWait, l.solveDur, time.Since(l.start))
 }

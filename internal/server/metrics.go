@@ -38,6 +38,10 @@ type metrics struct {
 	solvePhase       *obs.HistogramVec // seconds per request phase (admission/solve/encode)
 	traceEvents      *obs.CounterVec   // span-store admissions by outcome (stored/sampled_out)
 
+	// phaseHist[p] is the histogram phase p's time is observed into; the
+	// cache probe counts as admission work.
+	phaseHist [numPhases]*obs.Histogram
+
 	// Histograms do not retain a max, so /stats keeps its own (CAS loop,
 	// still lock-free).
 	latencyMaxMicros atomic.Int64
@@ -118,8 +122,13 @@ func newMetrics(cat *catalog.Catalog) *metrics {
 			"mroamd_queue_wait_seconds + solve + encode sum to a request's total server "+
 			"time; phases a request never reached contribute nothing.",
 		latencyBuckets, "phase")
-	for _, phase := range []string{"admission", "solve", "encode"} {
-		m.solvePhase.With(phase)
+	admission := m.solvePhase.With("admission")
+	m.phaseHist = [numPhases]*obs.Histogram{
+		phaseAdmission:   admission,
+		phaseCacheLookup: admission,
+		phaseQueue:       m.queueWait,
+		phaseSolve:       m.solvePhase.With("solve"),
+		phaseEncode:      m.solvePhase.With("encode"),
 	}
 	m.traceEvents = reg.CounterVec("mroamd_trace_events_total",
 		"Completed-trace span-store admissions: stored = the trace entered the ring "+
@@ -134,10 +143,11 @@ func newMetrics(cat *catalog.Catalog) *metrics {
 	return m
 }
 
-// observe records one finished solve that ran solver work on behalf of this
-// request: the request-level aggregates plus the work counters.
-func (m *metrics) observe(algorithm, instance, model string, res *core.Anytime, latency time.Duration) {
-	m.observeRequest(algorithm, instance, model, res, latency)
+// observeWork records the solver-work counters of one solver execution.
+// The server calls it where the solve runs, once per execution, so the
+// counters measure work done whether or not a request is still waiting for
+// the result (an orphaned cache flight) and however many requests share it.
+func (m *metrics) observeWork(res *core.Anytime) {
 	m.restarts.Add(int64(res.RestartsCompleted))
 	m.evals.Add(res.Evals)
 	m.cache.With("hit").Add(res.Cache.Hits)
@@ -145,12 +155,10 @@ func (m *metrics) observe(algorithm, instance, model string, res *core.Anytime, 
 	m.cache.With("rescan").Add(res.Cache.Rescans)
 }
 
-// observeRequest records the request-level aggregates — completion counters
-// and the latency/regret histograms — without the solver-work counters
-// (restarts, evals, gain-cache events), which belong to the one request whose
-// flight actually ran the solve. Solve-cache hits and coalesced followers go
-// through here, so the response-facing series stay truthful per request while
-// solver work is never double-counted.
+// observeRequest records the request-level aggregates of one served request —
+// completion counters and the latency/regret histograms. The solver-work
+// counters (restarts, evals, gain-cache events) are observeWork's, so solver
+// work is never double-counted across cache hits and coalesced followers.
 func (m *metrics) observeRequest(algorithm, instance, model string, res *core.Anytime, latency time.Duration) {
 	m.requests.With(algorithm, model).Inc()
 	m.instanceReqs.With(instance).Inc()

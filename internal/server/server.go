@@ -15,12 +15,12 @@
 //	DELETE /instances/{name}  unload an instance (the default is protected)
 //
 // Every /solve request is assigned a process-unique request ID, echoed in
-// the X-Request-ID response header, propagated through the request context
-// into the solver, and stamped on the one structured log line emitted per
-// request (outcome, algorithm, seed, restarts completed, truncation,
-// latency). When Config.Logger admits Debug records, solver progress
-// events (restart schedule, incumbent improvements) are logged too, via a
-// core.Tracer — tracing is observational, so traced and untraced solves
+// the X-Request-ID response header and bound to the request's logger, which
+// stamps it on the one structured log line emitted per request (outcome,
+// algorithm, seed, restarts completed, truncation, latency). When
+// Config.Logger admits Debug records, solver progress events (restart
+// schedule, incumbent improvements) are logged too, via the request's
+// restart tracer — tracing is observational, so traced and untraced solves
 // return bit-identical plans.
 //
 // The server serves a catalog.Catalog of named immutable instances. A
@@ -384,100 +384,122 @@ func writeError(w http.ResponseWriter, status int, format string, args ...any) {
 // scalar knobs, so anything larger is a client bug.
 const maxRequestBody = 1 << 20
 
-func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
-	// Admission stamps every request — even ones about to be rejected —
-	// with an ID, so a log line can always be tied back to the response the
-	// client saw. A request arriving with a valid traceparent uses its
-	// trace ID as that identifier end to end (X-Request-ID, log line,
-	// /debug/traces); anything else gets a legacy process-unique ID.
-	admitted := time.Now()
-	lc := s.startLifecycle(w, r, admitted)
-	reqID := lc.requestID
-	w.Header().Set("X-Request-ID", reqID)
-	ctx := obs.WithRequestID(r.Context(), reqID)
-	reqLog := s.log.With("req", reqID)
-	if lc.traceID != "" && lc.traceID != reqID {
-		reqLog = reqLog.With("trace", lc.traceID)
-	}
-	logOutcome := func(status int, attrs ...any) {
-		attrs = append(attrs,
-			"status", status,
-			"elapsed_ms", float64(time.Since(admitted).Microseconds())/1e3)
-		reqLog.Info("solve request", attrs...)
-	}
-	fail := func(status int, outcome, format string, args ...any) {
-		msg := fmt.Sprintf(format, args...)
-		logOutcome(status, "error", msg)
-		writeJSON(w, status, errorResponse{Error: msg})
-		lc.finish(status, outcome)
-	}
+// solveJob is a /solve request resolved against one catalog snapshot:
+// everything the admission, solve and respond stages need.
+type solveJob struct {
+	req   SolveRequest
+	entry *catalog.Entry
+	alg   core.Algorithm
+	// deadline is the effective solve budget (0 = none); effDeadlineMS
+	// echoes it when it differs from the requested one.
+	deadline      time.Duration
+	effDeadlineMS int64
+	// useCache is false when the server has no cache or the request is
+	// warm-started; key is meaningful only when it is true.
+	useCache bool
+	key      solvecache.Key
+}
 
-	if r.Method != http.MethodPost {
-		w.Header().Set("Allow", http.MethodPost)
-		fail(http.StatusMethodNotAllowed, "error", "POST only")
+// solved is how a request obtained its result: the result, the time the
+// request spent obtaining it, and whether it came from the cache (a
+// completed entry of the given age, or a coalesced flight).
+type solved struct {
+	res     *core.Anytime
+	latency time.Duration
+	cached  bool
+	age     time.Duration
+}
+
+// handleSolve runs a /solve request through its stages: decode/validate →
+// resolve → cache fast path → admit → solve → respond. Each stage boundary
+// is one lifecycle transition, and each stage that cannot go on answers the
+// request through the lifecycle's one exit before returning false.
+func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
+	lc := s.startLifecycle(w, r, time.Now())
+	req, ok := s.decode(lc, r)
+	if !ok {
 		return
 	}
+	j, ok := s.resolve(lc, req)
+	if !ok {
+		return
+	}
+	if j.useCache && s.serveCached(lc, j) {
+		return
+	}
+	release, ok := s.admit(r.Context(), lc, j)
+	if !ok {
+		return
+	}
+	defer release()
+	out, ok := s.solve(r.Context(), lc, j)
+	if !ok {
+		return
+	}
+	s.respond(lc, j, out)
+}
+
+// decode is the decode/validate stage.
+func (s *Server) decode(lc *reqLifecycle, r *http.Request) (SolveRequest, bool) {
 	var req SolveRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBody))
+	if r.Method != http.MethodPost {
+		lc.w.Header().Set("Allow", http.MethodPost)
+		lc.fail(http.StatusMethodNotAllowed, "error", "POST only")
+		return req, false
+	}
+	dec := json.NewDecoder(http.MaxBytesReader(lc.w, r.Body, maxRequestBody))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
-		fail(http.StatusBadRequest, "error", "decode request: %v", err)
-		return
+		lc.fail(http.StatusBadRequest, "error", "decode request: %v", err)
+		return req, false
 	}
 	if req.Restarts < 0 || req.DeadlineMS < 0 {
-		fail(http.StatusBadRequest, "error", "restarts and deadline_ms must be non-negative")
-		return
+		lc.fail(http.StatusBadRequest, "error", "restarts and deadline_ms must be non-negative")
+		return req, false
 	}
 	if req.Restarts > s.cfg.MaxRestarts {
-		fail(http.StatusBadRequest, "error", "restarts %d exceeds server cap %d", req.Restarts, s.cfg.MaxRestarts)
-		return
+		lc.fail(http.StatusBadRequest, "error", "restarts %d exceeds server cap %d", req.Restarts, s.cfg.MaxRestarts)
+		return req, false
 	}
 	if req.Algorithm == "" {
 		req.Algorithm = "BLS"
 	}
+	return req, true
+}
+
+// resolve is the resolve stage: the instance snapshot, the configured
+// algorithm, the effective deadline and the cache key.
+func (s *Server) resolve(lc *reqLifecycle, req SolveRequest) (*solveJob, bool) {
 	// Resolve the instance once, at admission: everything below — solve,
 	// metrics, response dimensions — uses this one immutable snapshot, so a
 	// concurrent hot-swap can never produce a torn response.
 	entry, ok := s.catalog.Get(req.Instance)
 	if !ok {
-		fail(http.StatusNotFound, "error", "unknown instance %q", req.Instance)
-		return
+		lc.fail(http.StatusNotFound, "error", "unknown instance %q", req.Instance)
+		return nil, false
 	}
-	// Tracing is observational (bit-identical results), so attaching it —
-	// the Debug log tracer, the restart-span tracer, or both — cannot
-	// change answers. The span tracer is constructed unarmed here and armed
-	// at solve start; until then (and with tracing disabled, where it is
-	// nil) it ignores every event.
-	var tracer core.Tracer
-	if reqLog.Enabled(ctx, slog.LevelDebug) {
-		tracer = obs.LogTracer{L: reqLog}
+	opts := core.LocalSearchOptions{
+		Seed:             req.Seed,
+		Restarts:         req.Restarts,
+		ImprovementRatio: req.ImprovementRatio,
+		Workers:          max(req.SearchWorkers, 1), // serial unless asked; the pool owns parallelism
 	}
+	// Tracing is observational (bit-identical results), so attaching the
+	// restart tracer cannot change answers.
 	if lc.tracer != nil {
-		if tracer != nil {
-			tracer = obs.MultiTracer{lc.tracer, tracer}
-		} else {
-			tracer = lc.tracer
-		}
+		opts.Tracer = lc.tracer
 	}
 	// Resolve the warm-start incumbent against the same snapshot as the
 	// solve: the store only answers with a plan recorded at exactly
 	// entry.Generation (remapped through any PATCHes), so the seed can never
 	// reference advertisers the snapshot does not have.
-	var ws *core.WarmStart
 	if req.WarmStart {
-		ws = s.incumbentFor(entry)
+		opts.WarmStart = s.incumbentFor(entry)
 	}
-	alg, err := core.AlgorithmByNameOpts(req.Algorithm, core.LocalSearchOptions{
-		Seed:             req.Seed,
-		Restarts:         req.Restarts,
-		ImprovementRatio: req.ImprovementRatio,
-		Workers:          max(req.SearchWorkers, 1), // serial unless asked; the pool owns parallelism
-		Tracer:           tracer,
-		WarmStart:        ws,
-	})
+	alg, err := core.AlgorithmByNameOpts(req.Algorithm, opts)
 	if err != nil {
-		fail(http.StatusBadRequest, "error", "%v", err)
-		return
+		lc.fail(http.StatusBadRequest, "error", "%v", err)
+		return nil, false
 	}
 	lc.noteTarget(entry.Name, alg.Name(), entry.Info.Model)
 
@@ -486,30 +508,27 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	// the request asked for — a clamp to MaxDeadline, or a default applied
 	// to a deadline-less request — it is echoed back instead of being
 	// applied silently.
+	j := &solveJob{req: req, entry: entry, alg: alg}
 	requested := time.Duration(req.DeadlineMS) * time.Millisecond
-	deadline := requested
-	if deadline == 0 {
-		deadline = s.cfg.DefaultDeadline
+	j.deadline = requested
+	if j.deadline == 0 {
+		j.deadline = s.cfg.DefaultDeadline
 	}
-	if s.cfg.MaxDeadline > 0 && (deadline == 0 || deadline > s.cfg.MaxDeadline) {
-		deadline = s.cfg.MaxDeadline
+	if s.cfg.MaxDeadline > 0 && (j.deadline == 0 || j.deadline > s.cfg.MaxDeadline) {
+		j.deadline = s.cfg.MaxDeadline
 	}
-	var effDeadlineMS int64
-	if deadline != requested {
-		effDeadlineMS = deadline.Milliseconds()
+	if j.deadline != requested {
+		j.effDeadlineMS = j.deadline.Milliseconds()
 	}
 
-	// Cache fast path: a completed identical solve answers immediately,
-	// without consuming a queue or worker token. The key carries the
-	// snapshot's generation, so a hot-swapped instance is a natural miss.
-	// Warm-started requests bypass the cache in both directions — their
-	// effective input includes the incumbent, which the key does not carry,
-	// so serving or storing them under the plain tuple would alias two
-	// different computations.
-	useCache := s.cache != nil && !req.WarmStart
-	var key solvecache.Key
-	if useCache {
-		key = solvecache.Key{
+	// The key carries the snapshot's generation, so a hot-swapped instance
+	// is a natural miss. Warm-started requests bypass the cache in both
+	// directions — their effective input includes the incumbent, which the
+	// key does not carry, so serving or storing them under the plain tuple
+	// would alias two different computations.
+	j.useCache = s.cache != nil && !req.WarmStart
+	if j.useCache {
+		j.key = solvecache.Key{
 			Instance:         entry.Name,
 			Generation:       entry.Generation,
 			Algorithm:        alg.Name(),
@@ -518,51 +537,68 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 			Restarts:         req.Restarts,
 			ImprovementRatio: req.ImprovementRatio,
 		}
-		lc.enterCacheLookup(time.Now())
-		if res, age, ok := s.cache.Lookup(key); ok {
-			latency := time.Since(admitted)
-			s.metrics.observeRequest(req.Algorithm, entry.Name, entry.Info.Model, res, latency)
-			lc.cacheHit(time.Now())
-			s.finishSolve(w, logOutcome, lc, req, alg.Name(), entry, res, latency, true, age, effDeadlineMS)
-			return
-		}
 	}
-	lc.enterQueue(time.Now())
+	return j, true
+}
 
-	// Admission. Every shed answers 429 with the reason labeled on the
-	// rejection counter, echoed in X-Reject-Reason, and a Retry-After hint
-	// derived from the current queue drain rate (backlog × mean worker-hold
-	// time ÷ workers; 1s before any request has completed).
-	reject := func(reason, format string, args ...any) {
+// serveCached is the cache fast path: a completed identical solve answers
+// immediately, without consuming a queue or worker token. It reports
+// whether the request was answered.
+func (s *Server) serveCached(lc *reqLifecycle, j *solveJob) bool {
+	lc.enter(phaseCacheLookup, time.Now())
+	res, age, ok := s.cache.Lookup(j.key)
+	if !ok {
+		return false
+	}
+	latency := time.Since(lc.start)
+	lc.setAttr("cached", true)
+	lc.enter(phaseEncode, time.Now())
+	s.respond(lc, j, solved{res: res, latency: latency, cached: true, age: age})
+	return true
+}
+
+// admit is the admission stage: the fair-share cap, deadline feasibility
+// and the execution/waiting-room tokens. On success the request holds a
+// worker slot until it calls release. Every shed answers 429 with the
+// reason labeled on the rejection counter, echoed in X-Reject-Reason, and a
+// Retry-After hint derived from the current queue drain rate (backlog ×
+// mean worker-hold time ÷ workers; 1s before any request has completed).
+func (s *Server) admit(ctx context.Context, lc *reqLifecycle, j *solveJob) (release func(), ok bool) {
+	lc.enter(phaseQueue, time.Now())
+	shed := func(reason, format string, args ...any) {
 		s.metrics.rejected.With(reason).Inc()
-		w.Header().Set("X-Reject-Reason", reason)
-		w.Header().Set("Retry-After",
+		lc.w.Header().Set("X-Reject-Reason", reason)
+		lc.w.Header().Set("Retry-After",
 			strconv.Itoa(retryAfterSeconds(s.backlog(), s.adm.workers, s.adm.serviceEstimate())))
-		fail(http.StatusTooManyRequests, "shed_"+reason, format, args...)
+		lc.fail(http.StatusTooManyRequests, "shed_"+reason, format, args...)
 	}
 
 	// Per-instance occupancy: reserve the slot first (Add returns the new
 	// value, so reservation and the fair-share check are one atomic step —
-	// occupancy above the cap is never admitted), release it when the
-	// request unwinds, whatever the outcome.
-	inflight := s.metrics.instanceInflight.With(entry.Name)
-	if n := inflight.Add(1); s.adm.policy == AdmitFair && n > int64(s.adm.fairShare) {
-		inflight.Add(-1)
-		reject(rejectFairness, "instance %q already holds its fair share (%d) of admission slots",
-			entry.Name, s.adm.fairShare)
-		return
+	// occupancy above the cap is never admitted); a request that is not
+	// admitted gives it back here, an admitted one in release.
+	inflight := s.metrics.instanceInflight.With(j.entry.Name)
+	n := inflight.Add(1)
+	defer func() {
+		if !ok {
+			inflight.Add(-1)
+		}
+	}()
+	if s.adm.policy == AdmitFair && n > int64(s.adm.fairShare) {
+		shed(rejectFairness, "instance %q already holds its fair share (%d) of admission slots",
+			j.entry.Name, s.adm.fairShare)
+		return nil, false
 	}
-	defer inflight.Add(-1)
 
 	// Deadline feasibility: shed a request whose solve budget would already
 	// be spent by the time the current backlog drains to a worker, instead
 	// of queueing it toward a degenerate truncated answer.
 	if s.adm.policy == AdmitDeadline {
-		if queued, svc := s.backlog(), s.adm.serviceEstimate(); !DeadlineFeasible(deadline, queued, s.adm.workers, svc) {
-			reject(rejectDeadlineInfeasible,
+		if queued, svc := s.backlog(), s.adm.serviceEstimate(); !DeadlineFeasible(j.deadline, queued, s.adm.workers, svc) {
+			shed(rejectDeadlineInfeasible,
 				"deadline %v infeasible: estimated queue wait %v (%d queued, %d workers, ~%v per solve)",
-				deadline, EstimatedQueueWait(queued, s.adm.workers, svc), queued, s.adm.workers, svc)
-			return
+				j.deadline, EstimatedQueueWait(queued, s.adm.workers, svc), queued, s.adm.workers, svc)
+			return nil, false
 		}
 	}
 
@@ -571,130 +607,129 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	// while blocked for one. The fast path claims a free worker directly —
 	// with QueueDepth = 0 the waiting room has no capacity at all, and a
 	// request either starts immediately or is shed.
+	release = func() {
+		<-s.workers
+		inflight.Add(-1)
+	}
 	select {
 	case s.workers <- struct{}{}:
-		defer func() { <-s.workers }()
+		return release, true
 	default:
-		// No worker free: enter the waiting room without blocking, or shed
-		// load now.
-		select {
-		case s.queue <- struct{}{}:
-		default:
-			reject(rejectCapacity, "solver queue full")
-			return
-		}
-		// Wait (bounded by the waiting-room capacity above) for an
-		// execution slot, trading the queue token for the worker token at
-		// acquisition. A client that gives up while queued abandons the
-		// request without ever occupying a worker.
-		select {
-		case s.workers <- struct{}{}:
-			<-s.queue
-			defer func() { <-s.workers }()
-		case <-ctx.Done():
-			<-s.queue
-			s.metrics.abandoned.Inc()
-			fail(statusClientClosedRequest, "abandoned", "client closed request while queued")
-			return
-		}
 	}
+	// No worker free: enter the waiting room without blocking, or shed
+	// load now.
+	select {
+	case s.queue <- struct{}{}:
+	default:
+		shed(rejectCapacity, "solver queue full")
+		return nil, false
+	}
+	// Wait (bounded by the waiting-room capacity above) for an execution
+	// slot, trading the queue token for the worker token at acquisition. A
+	// client that gives up while queued abandons the request without ever
+	// occupying a worker.
+	select {
+	case s.workers <- struct{}{}:
+		<-s.queue
+		return release, true
+	case <-ctx.Done():
+		<-s.queue
+		s.metrics.abandoned.Inc()
+		lc.fail(statusClientClosedRequest, "abandoned", "client closed request while queued")
+		return nil, false
+	}
+}
 
-	if deadline > 0 {
+// solve is the solve stage: it runs the job under its deadline — through
+// the cache's compute-once flight when the job is cacheable — and reports
+// false when the client hung up meanwhile.
+func (s *Server) solve(ctx context.Context, lc *reqLifecycle, j *solveJob) (solved, bool) {
+	solveCtx := ctx
+	if j.deadline > 0 {
 		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, deadline)
+		solveCtx, cancel = context.WithTimeout(ctx, j.deadline)
 		defer cancel()
 	}
-
 	start := time.Now()
-	lc.enterSolve(start)
-	var res *core.Anytime
-	cached := false
-	var age time.Duration
-	if useCache {
+	lc.enter(phaseSolve, start)
+	var out solved
+	if j.useCache {
 		// Compute-once path: identical concurrent requests coalesce onto
 		// one flight, which runs detached from every requester (bounded by
 		// MaxDeadline) so an impatient client cannot starve the rest. This
-		// request still waits under its own ctx.
+		// request still waits under its own deadline.
 		var info solvecache.Info
-		res, info = s.cache.Do(ctx, key, func(fctx context.Context) *core.Anytime {
-			return s.cfg.solve(fctx, alg, entry.Instance)
+		out.res, info = s.cache.Do(solveCtx, j.key, func(fctx context.Context) *core.Anytime {
+			return s.runSolve(fctx, j)
 		})
-		switch info.Outcome {
-		case solvecache.Hit:
-			cached, age = true, info.Age
-		case solvecache.Followed:
-			cached = true
-		case solvecache.Expired:
-			if r.Context().Err() == nil {
-				// The request's own deadline fired while waiting on the
-				// flight. Honor the anytime contract the uncached path
-				// offers: solving under the already-expired ctx returns
-				// the best-so-far truncated result immediately.
-				res = s.cfg.solve(ctx, alg, entry.Instance)
-			}
-		}
-	} else {
-		res = s.cfg.solve(ctx, alg, entry.Instance)
+		out.cached = info.Outcome == solvecache.Hit || info.Outcome == solvecache.Followed
+		out.age = info.Age
 	}
-	latency := time.Since(start)
+	if out.res == nil && ctx.Err() == nil {
+		// Uncached, or the request's own deadline fired while it waited on
+		// the flight (Expired). Either way solve under the deadline: an
+		// expired one honors the anytime contract, returning the
+		// best-so-far truncated result immediately.
+		out.res = s.runSolve(solveCtx, j)
+	}
+	out.latency = time.Since(start)
 	// However the result was produced, this request held a worker slot for
-	// `latency`: fold it into the drain-rate estimate behind deadline
+	// out.latency: fold it into the drain-rate estimate behind deadline
 	// feasibility and Retry-After.
-	s.adm.observeService(latency)
+	s.adm.observeService(out.latency)
 
 	// A client that hung up mid-solve never saw an answer: count it as
 	// abandoned and answer 499, exactly like a disconnect in the queue —
 	// not as a completed 200 that skews the latency and regret series.
-	if err := r.Context().Err(); err != nil {
+	if ctx.Err() != nil {
 		s.metrics.abandoned.Inc()
-		fail(statusClientClosedRequest, "abandoned", "client closed request during solve")
-		return
-	}
-
-	if cached {
-		// The flight's solver work was (or will be) recorded by the
-		// request that ran it; this request only contributes the
-		// response-level series.
-		s.metrics.observeRequest(req.Algorithm, entry.Name, entry.Info.Model, res, latency)
-	} else {
-		s.metrics.observe(req.Algorithm, entry.Name, entry.Info.Model, res, latency)
-		// A computed, complete solve becomes the incumbent future
-		// warm-started requests for this (instance, model) seed from.
-		s.storeIncumbent(entry, res)
+		lc.fail(statusClientClosedRequest, "abandoned", "client closed request during solve")
+		return out, false
 	}
 	// The solve phase ends exactly where it started plus the measured
 	// latency, keeping the span layout contiguous.
-	lc.enterEncode(start.Add(latency), latency)
-	s.finishSolve(w, logOutcome, lc, req, alg.Name(), entry, res, latency, cached, age, effDeadlineMS)
+	lc.enter(phaseEncode, start.Add(out.latency))
+	return out, true
 }
 
-// finishSolve emits the one structured log line, the Server-Timing header
-// and the SolveResponse body for a completed solve, whether it ran on this
-// request's worker slot or was served from the cache, then completes the
-// request's trace.
-func (s *Server) finishSolve(w http.ResponseWriter, logOutcome func(int, ...any),
-	lc *reqLifecycle, req SolveRequest, algName string, entry *catalog.Entry, res *core.Anytime,
-	latency time.Duration, cached bool, age time.Duration, effDeadlineMS int64) {
+// runSolve is the one place a solver executes. It records the execution's
+// solver-work counters and offers a complete plan as the warm-start
+// incumbent right where the solve ran, so the work of a cache flight whose
+// requesters all gave up (deadline or disconnect) is still counted and its
+// plan still kept.
+func (s *Server) runSolve(ctx context.Context, j *solveJob) *core.Anytime {
+	res := s.cfg.solve(ctx, j.alg, j.entry.Instance)
+	s.metrics.observeWork(res)
+	s.storeIncumbent(j.entry, res)
+	return res
+}
+
+// respond is the last stage of a served request, whether it ran on this
+// request's worker slot or was served from the cache: the request-level
+// metrics, then the log line, Server-Timing header and SolveResponse body
+// through the lifecycle's exit.
+func (s *Server) respond(lc *reqLifecycle, j *solveJob, out solved) {
+	res, entry := out.res, j.entry
+	s.metrics.observeRequest(j.req.Algorithm, entry.Name, entry.Info.Model, res, out.latency)
 	attrs := []any{
-		"algorithm", algName,
+		"algorithm", j.alg.Name(),
 		"instance", entry.Name,
 		"generation", entry.Generation,
-		"seed", req.Seed,
+		"seed", j.req.Seed,
 		"regret", res.TotalRegret,
 		"restarts_completed", res.RestartsCompleted,
 		"truncated", res.Truncated,
 		"evals", res.Evals,
-		"solve_ms", float64(latency.Microseconds()) / 1e3,
+		"solve_ms", durationMS(out.latency),
 	}
-	if cached {
+	if out.cached {
 		attrs = append(attrs, "cached", true)
 	}
-	logOutcome(http.StatusOK, attrs...)
 
 	plan := res.Plan
 	excess, unsat := plan.Breakdown()
 	resp := SolveResponse{
-		Algorithm:           algName,
+		Algorithm:           j.alg.Name(),
 		TotalRegret:         res.TotalRegret,
 		Excess:              excess,
 		Unsatisfied:         unsat,
@@ -705,14 +740,14 @@ func (s *Server) finishSolve(w http.ResponseWriter, logOutcome func(int, ...any)
 		RestartsCompleted:   res.RestartsCompleted,
 		Truncated:           res.Truncated,
 		Evals:               res.Evals,
-		LatencyMS:           float64(latency.Microseconds()) / 1e3,
-		EffectiveDeadlineMS: effDeadlineMS,
-		Cached:              cached,
-		CacheAgeMS:          float64(age.Microseconds()) / 1e3,
+		LatencyMS:           durationMS(out.latency),
+		EffectiveDeadlineMS: j.effDeadlineMS,
+		Cached:              out.cached,
+		CacheAgeMS:          durationMS(out.age),
 		WarmStarted:         res.WarmStarted,
 		FrozenAdvertisers:   res.FrozenAdvertisers,
 	}
-	if req.Instance != "" {
+	if j.req.Instance != "" {
 		// Echo the snapshot identity only for requests that opted into
 		// instance selection; the default-instance body stays byte-
 		// compatible with the single-instance wire format.
@@ -725,19 +760,17 @@ func (s *Server) finishSolve(w http.ResponseWriter, logOutcome func(int, ...any)
 		// the numbers are not comparable to base-model output.
 		resp.Model = entry.Info.Model
 	}
-	if req.IncludeAssignments {
+	if j.req.IncludeAssignments {
 		resp.Assignments = make([][]int, entry.Instance.NumAdvertisers())
 		for i := range resp.Assignments {
 			resp.Assignments[i] = plan.Set(i, []int{})
 		}
 	}
-	w.Header().Set("Server-Timing", lc.serverTiming())
-	writeJSON(w, http.StatusOK, resp)
 	outcome := "served"
 	if res.Truncated {
 		outcome = "served_truncated"
 	}
-	lc.finish(http.StatusOK, outcome)
+	lc.finish(http.StatusOK, outcome, resp, attrs...)
 }
 
 // statusClientClosedRequest is nginx's non-standard 499 — the closest thing

@@ -425,6 +425,74 @@ func TestSolveCacheCoalescing(t *testing.T) {
 	assertNoGoroutineLeak(t, baseline)
 }
 
+// TestOrphanedFlightWorkCounted: a cache flight whose only requester gave
+// up — its deadline fired, so it answered with the truncated fallback —
+// keeps running detached. When it lands, its solver work must still be
+// counted and its complete plan must become the warm-start incumbent, even
+// though no request is waiting for it any more.
+func TestOrphanedFlightWorkCounted(t *testing.T) {
+	baseline := runtime.NumGoroutine()
+	inst := testInstance(t, 50, 8, 2)
+	cfg, release, started := gatedConfig(t, inst, 1, 1)
+	cfg.CacheEntries = 4
+	const flightEvals, flightRestarts = 1234, 3
+	gated := cfg.solve
+	cfg.solve = func(ctx context.Context, alg core.Algorithm, in *core.Instance) *core.Anytime {
+		if ctx.Err() != nil {
+			// The leader's expired fallback: the anytime contract answers
+			// at once with a truncated result and no work.
+			p := core.NewPlan(in)
+			return &core.Anytime{Plan: p, TotalRegret: p.TotalRegret(), Truncated: true}
+		}
+		res := gated(ctx, alg, in)
+		res.Evals, res.RestartsCompleted = flightEvals, flightRestarts
+		return res
+	}
+	s, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(s.Handler())
+	defer func() {
+		ts.Client().CloseIdleConnections()
+		ts.Close()
+		assertNoGoroutineLeak(t, baseline)
+	}()
+	defer release()
+
+	req := SolveRequest{Algorithm: "G-Global", DeadlineMS: 30}
+	status, got, fail := postSolve(t, ts.Client(), ts.URL, req)
+	if status != http.StatusOK || !got.Truncated || got.Cached {
+		t.Fatalf("leader: status %d (%s), truncated %v, cached %v; want a truncated uncached 200",
+			status, fail.Error, got.Truncated, got.Cached)
+	}
+	select {
+	case <-started:
+	case <-time.After(5 * time.Second):
+		t.Fatal("the flight never started")
+	}
+
+	// Let the orphaned flight finish. A repeat request is then answered by
+	// it — from the cache, or by joining the flight if it has not landed
+	// yet — so once the repeat returns, the flight has completed.
+	release()
+	status, got, fail = postSolve(t, ts.Client(), ts.URL, req)
+	if status != http.StatusOK || !got.Cached || got.Evals != flightEvals {
+		t.Fatalf("repeat: status %d (%s), cached %v, evals %d; want the flight's cached result",
+			status, fail.Error, got.Cached, got.Evals)
+	}
+	if n := s.metrics.evals.Value(); n != flightEvals {
+		t.Errorf("mroamd_solver_evals_total = %d, want the flight's %d", n, flightEvals)
+	}
+	if n := s.metrics.restarts.Value(); n != flightRestarts {
+		t.Errorf("mroamd_solver_restarts_total = %d, want the flight's %d", n, flightRestarts)
+	}
+	entry, _ := s.catalog.Get("")
+	if s.incumbentFor(entry) == nil {
+		t.Error("the flight's complete plan did not become the warm-start incumbent")
+	}
+}
+
 // TestCacheHammerUnderHotSwap is the cache's core concurrency contract, run
 // under -race: clients hammer one identical request while a writer keeps
 // hot-swapping the instance underneath them. Every response must match the
