@@ -30,6 +30,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzPlanRoundTrip$$' -fuzztime 10s ./internal/core
 	$(GO) test -run '^$$' -fuzz '^FuzzSwapDeltaMerge$$' -fuzztime 10s ./internal/coverage
 	$(GO) test -run '^$$' -fuzz '^FuzzParseTraceparent$$' -fuzztime 10s ./internal/obs
+	$(GO) test -run '^$$' -fuzz '^FuzzGainVector$$' -fuzztime 10s ./internal/core
 
 vet:
 	$(GO) vet ./...

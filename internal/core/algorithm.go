@@ -22,6 +22,7 @@ type Algorithm interface {
 // The greedy algorithms have no restart loop, so both restart counters
 // stay 0 and Truncated simply reports whether the greedy converged.
 func greedyAnytime(p *Plan, completed bool) *Anytime {
+	p.dropGainCache()
 	return &Anytime{
 		Plan:        p,
 		TotalRegret: p.TotalRegret(),

@@ -106,6 +106,7 @@ func runRestarts(ctx context.Context, inst *Instance, opts LocalSearchOptions) (
 			seedRandomPlan(p, root.Derive(fmt.Sprintf("restart-%d", job-1)))
 		}
 		completed := synchronousGreedyDone(done, p) && localSearchDone(done, p, opts, frozen)
+		p.dropGainCache()
 		if !completed {
 			partials[job] = p
 			return

@@ -76,3 +76,26 @@ func TestRandomizedLocalSearchAutoWorkers(t *testing.T) {
 	})
 	comparePlans(t, "auto-workers", serial, auto)
 }
+
+// TestRestartPoolCELFWorkerInvariance runs the restart pool on a universe
+// above the auto-mode CELF threshold, corridor-compressed, so every slot's
+// greedy selects through its own heaps, gain vectors and incidence index
+// (built per plan and shared only with the plan's clones). Under -race it
+// checks that no selection state crosses goroutines; in any mode, workers 4
+// must reproduce the serial plans, regret, evals and cache counters.
+func TestRestartPoolCELFWorkerInvariance(t *testing.T) {
+	inst := compressedInstance(randomInstance(rng.New(4004), 1200, celfMinBillboards+20, 30, 6, 0.4, 0.5))
+	for _, kind := range []SearchKind{AdvertiserDriven, BillboardDriven} {
+		opts := LocalSearchOptions{Search: kind, Restarts: 3, Seed: 11, Workers: 1}
+		serial := RandomizedLocalSearch(inst, opts)
+		if cs := serial.CacheStats(); cs.Rescans != 0 || cs.Misses == 0 {
+			t.Fatalf("%s: cache stats %+v, want the CELF path (no rescans)", kind, cs)
+		}
+		opts.Workers = 4
+		got := RandomizedLocalSearch(inst, opts)
+		comparePlans(t, "celf/"+kind.String(), serial, got)
+		if got.CacheStats() != serial.CacheStats() {
+			t.Fatalf("%s: cache stats %+v at workers 4, %+v serial", kind, got.CacheStats(), serial.CacheStats())
+		}
+	}
+}

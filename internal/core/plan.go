@@ -157,6 +157,7 @@ func (p *Plan) Assign(b, i int) {
 	p.counters[i].Add(b)
 	p.evals++
 	p.refreshRegret(i)
+	p.gainCacheOnAssign(b, i)
 }
 
 // Release returns billboard b to the unassigned pool. It panics if b is not
@@ -274,6 +275,10 @@ func (p *Plan) Clone() *Plan {
 	}
 	for i, ctr := range p.counters {
 		c.counters[i] = ctr.Clone()
+	}
+	if p.cache != nil && p.cache.index != nil {
+		// The index is immutable: the clone's first heap need not rebuild it.
+		c.cache = &gainCache{adv: make([]*advGainCache, len(p.counters)), index: p.cache.index}
 	}
 	return c
 }

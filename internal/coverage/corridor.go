@@ -71,30 +71,10 @@ func Compress(u *Universe) (*Universe, CompressionStats) {
 		return u, statsFor(u.numTrajectories, int(covered), u.numIDs)
 	}
 
-	// Invert the billboard→trajectory lists into one CSR signature table:
-	// sig(t) = ascending billboard IDs covering t. Iterating billboards in
-	// ascending order builds each row already sorted.
+	// sig(t) = ascending billboard IDs covering t.
+	inc := u.Incidence()
 	n := u.numIDs
-	deg := make([]int32, n)
-	for _, l := range u.lists {
-		for _, t := range l {
-			deg[t]++
-		}
-	}
-	offsets := make([]int64, n+1)
-	for t := 0; t < n; t++ {
-		offsets[t+1] = offsets[t] + int64(deg[t])
-	}
-	sig := make([]int32, offsets[n])
-	fill := make([]int64, n)
-	copy(fill, offsets[:n])
-	for b, l := range u.lists {
-		for _, t := range l {
-			sig[fill[t]] = int32(b)
-			fill[t]++
-		}
-	}
-	sigOf := func(t int32) []int32 { return sig[offsets[t]:offsets[t+1]] }
+	sigOf := inc.Billboards
 
 	// Group trajectories by signature: hash buckets, then exact
 	// verification inside each bucket so collisions can never merge two

@@ -241,6 +241,46 @@ func (u *Universe) WeightSum(bs *bitset.Set) int {
 	return total
 }
 
+// Incidence is the inverse of a universe's coverage lists in CSR form: for
+// every coverage ID, the billboards covering it. It is immutable once built
+// and safe to share between goroutines.
+type Incidence struct {
+	offsets []int64 // Billboards(id) = bills[offsets[id]:offsets[id+1]]
+	bills   []int32
+}
+
+// Incidence builds the ID→billboards index of u in O(|U| + Σ_b len(List(b)))
+// time and one int32 per list entry plus one int64 per ID of memory.
+// Iterating billboards in ascending order fills each row already sorted.
+func (u *Universe) Incidence() *Incidence {
+	n := u.numIDs
+	x := &Incidence{offsets: make([]int64, n+1)}
+	for _, l := range u.lists {
+		for _, t := range l {
+			x.offsets[t+1]++
+		}
+	}
+	for t := 0; t < n; t++ {
+		x.offsets[t+1] += x.offsets[t]
+	}
+	x.bills = make([]int32, x.offsets[n])
+	fill := make([]int64, n)
+	copy(fill, x.offsets[:n])
+	for b, l := range u.lists {
+		for _, t := range l {
+			x.bills[fill[t]] = int32(b)
+			fill[t]++
+		}
+	}
+	return x
+}
+
+// Billboards returns the billboards covering coverage ID id in ascending
+// order. The returned slice must not be modified.
+func (x *Incidence) Billboards(id int32) []int32 {
+	return x.bills[x.offsets[id]:x.offsets[id+1]]
+}
+
 // Counter incrementally tracks I(S) for one mutable billboard set S. Adding
 // or removing a billboard costs O(deg(b)); marginal-gain/loss queries cost
 // the same without mutating the set.
@@ -293,6 +333,9 @@ func (c *Counter) Threshold() int { return int(c.k) }
 // Covered returns I_k(S): with the default threshold 1, the number of
 // distinct trajectories covered.
 func (c *Counter) Covered() int { return c.covered }
+
+// Count returns how many billboards of the set cover coverage ID id.
+func (c *Counter) Count(id int32) int { return int(c.counts[id]) }
 
 // Size returns |S|, the number of billboards in the set.
 func (c *Counter) Size() int { return c.size }
