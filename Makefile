@@ -2,15 +2,16 @@
 
 GO ?= go
 
-.PHONY: all build test test-race vet fmt lint perfbench-check bench bench-json bench-serving scale-smoke repro examples clean check fuzz-smoke trace-demo catalog-demo cache-demo load-smoke trace-smoke variant-smoke churn-smoke
+.PHONY: all build test test-race vet fmt lint perfbench-check bench bench-json bench-serving scale-smoke repro repro-smoke examples clean check fuzz-smoke trace-demo catalog-demo cache-demo load-smoke trace-smoke variant-smoke churn-smoke
 
 all: build test
 
 # The full pre-merge gate: build, lint (format + vet), the race-detector
 # suite, the benchmark module's vet and tests, a short smoke run of every
 # fuzz target, the serving demos (multi-instance catalog, solve-result
-# cache, reproducible load harness), and the paper-scale coverage smoke.
-check: build lint test-race perfbench-check fuzz-smoke catalog-demo cache-demo load-smoke trace-smoke variant-smoke churn-smoke scale-smoke
+# cache, reproducible load harness), the paper-scale coverage smoke and
+# the recorded-evaluation check.
+check: build lint test-race perfbench-check fuzz-smoke catalog-demo cache-demo load-smoke trace-smoke variant-smoke churn-smoke scale-smoke repro-smoke
 
 build:
 	$(GO) build ./...
@@ -312,6 +313,24 @@ repro:
 	mkdir -p results
 	$(GO) run ./cmd/mroam exp -all -scale 0.25 -seed 42 -restarts 3 \
 		-csv results/figures.csv | tee results/figures.txt
+
+# repro-smoke reruns the `repro` evaluation into /tmp and requires every
+# CSV column except runtime_seconds to equal results/figures.csv: regrets,
+# satisfaction counts and evals are deterministic per seed, so any other
+# difference is a behaviour change (regenerate with `make repro` only when
+# one is intended).
+REPRO_SMOKE_DIR ?= /tmp/mroam-repro-smoke
+repro-smoke:
+	@mkdir -p $(REPRO_SMOKE_DIR)
+	$(GO) run ./cmd/mroam exp -all -scale 0.25 -seed 42 -restarts 3 \
+		-csv $(REPRO_SMOKE_DIR)/figures.csv > $(REPRO_SMOKE_DIR)/figures.txt
+	@strip='BEGIN { FS = OFS = "," } NR == 1 { for (i = 1; i <= NF; i++) if ($$i == "runtime_seconds") c = i } \
+		!c { print "repro-smoke: no runtime_seconds column"; exit 1 } { $$c = ""; print }'; \
+	awk "$$strip" results/figures.csv > $(REPRO_SMOKE_DIR)/want.csv && \
+	awk "$$strip" $(REPRO_SMOKE_DIR)/figures.csv > $(REPRO_SMOKE_DIR)/got.csv && \
+	diff $(REPRO_SMOKE_DIR)/want.csv $(REPRO_SMOKE_DIR)/got.csv \
+		|| { echo "repro-smoke: results differ from results/figures.csv beyond runtime_seconds"; exit 1; }
+	@echo "repro-smoke: OK, $$(wc -l < $(REPRO_SMOKE_DIR)/got.csv) rows match"
 
 examples:
 	$(GO) run ./examples/quickstart

@@ -363,10 +363,12 @@ func cmdSim(args []string, out io.Writer) error {
 	if err != nil {
 		return err
 	}
-	u, err := d.BuildUniverse(s.Lambda)
+	raw, err := d.BuildUniverse(s.Lambda)
 	if err != nil {
 		return err
 	}
+	// Solve on the corridor-compressed substrate, as catalog.Build does.
+	u, _ := coverage.Compress(raw)
 	if *churn {
 		return runChurnSim(out, s, d, u, *days, *arrivals, *restarts)
 	}

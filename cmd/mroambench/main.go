@@ -2,7 +2,9 @@
 // end: for a ladder of trajectory counts it streams a paper-configuration
 // dataset into a coverage universe, corridor-compresses it, and runs a
 // 1-restart BLS solve on the compressed instance — optionally next to a
-// dense baseline solve whose regret must match bit-for-bit.
+// dense baseline solve whose regret must match bit-for-bit. The dense
+// baseline is the uncompressed, unit-weight universe: the same Counter
+// loops as the compressed solve, over one ID per trajectory.
 //
 // The JSON report (see BENCH_coverage.json at the repository root for a
 // recorded run) is the evidence behind the "paper-scale instances solve

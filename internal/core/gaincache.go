@@ -1,6 +1,10 @@
 package core
 
-import "repro/internal/coverage"
+import (
+	"sync"
+
+	"repro/internal/coverage"
+)
 
 // This file implements the lazy-greedy (CELF-style) gain cache behind
 // bestBillboardFor. Under the union-coverage influence measure the marginal
@@ -31,7 +35,9 @@ import "repro/internal/coverage"
 // While the heap lives S_i only grows, and Assign(b, i) updates the vector
 // from the IDs b newly covers: each such ID t takes its weight off the gain
 // of every billboard covering t, found through an ID→billboards incidence
-// index (coverage.Incidence) the plan builds with its first heap. The work
+// index (coverage.Incidence) built by the first heap that needs it and
+// shared by the plan's clones and by every restart slot of one solve. The
+// work
 // a CELF evaluation used to spend walking deg(b) list entries therefore
 // moves into those Assign-time updates, which touch each (ID, billboard)
 // incidence at most once per heap lifetime. Evals still counts one
@@ -179,12 +185,29 @@ func (c *advGainCache) pop() gainEntry {
 }
 
 // gainCache holds the lazily built per-advertiser heaps of one Plan, the
-// plan's ID→billboards index, and a scratch buffer for re-inserting entries
-// evaluated during one selection.
+// plan's ID→billboards index (index, once taken from shared), and a
+// scratch buffer for re-inserting entries evaluated during one selection.
 type gainCache struct {
 	adv     []*advGainCache
+	shared  *sharedIncidence
 	index   *coverage.Incidence
 	scratch []gainEntry
+}
+
+// sharedIncidence builds a universe's incidence index when the first heap
+// of any plan holding it asks, and hands every later caller the same
+// immutable index. A plan shares one with its clones, and the restart pool
+// shares one across all slots of a solve; building on first use (not up
+// front) keeps the cost inside the first slot's greedy, where a deadline
+// finds it in the same place as before.
+type sharedIncidence struct {
+	once  sync.Once
+	index *coverage.Incidence
+}
+
+func (s *sharedIncidence) get(u *coverage.Universe) *coverage.Incidence {
+	s.once.Do(func() { s.index = u.Incidence() })
+	return s.index
 }
 
 // gainCacheFor returns advertiser i's heap, building it from the plan's
@@ -193,11 +216,10 @@ type gainCache struct {
 // ascending ID order already satisfies the heap invariant. The gain vector
 // starts at Degree(b) = I({b}); every ID S_i already covers then takes its
 // weight off each billboard covering it, which costs the index rows of
-// S_i's coverage rather than a Counter.Gain walk per billboard. The plan's
-// first heap builds the index.
+// S_i's coverage rather than a Counter.Gain walk per billboard.
 func (p *Plan) gainCacheFor(i int) *advGainCache {
 	if p.cache == nil {
-		p.cache = &gainCache{adv: make([]*advGainCache, len(p.counters))}
+		p.shareIncidence(&sharedIncidence{})
 	}
 	g := p.cache
 	if c := g.adv[i]; c != nil {
@@ -205,7 +227,7 @@ func (p *Plan) gainCacheFor(i int) *advGainCache {
 	}
 	u := p.inst.Universe()
 	if g.index == nil {
-		g.index = u.Incidence()
+		g.index = g.shared.get(u)
 	}
 	c := &advGainCache{inHeap: make([]bool, len(p.owner)), gain: make([]int, len(p.owner))}
 	for b, owner := range p.owner {
@@ -234,6 +256,13 @@ func (g *gainCache) discount(gain []int, u *coverage.Universe, t int32) {
 	for _, o := range g.index.Billboards(t) {
 		gain[o] -= w
 	}
+}
+
+// shareIncidence starts the plan's selection state on the given shared
+// incidence index, so its heaps use the index of whoever shares it rather
+// than building their own.
+func (p *Plan) shareIncidence(s *sharedIncidence) {
+	p.cache = &gainCache{adv: make([]*advGainCache, len(p.counters)), shared: s}
 }
 
 // gainCacheOnAssign keeps advertiser i's gain vector exact after b joined
@@ -321,16 +350,16 @@ var celfMode = celfAuto
 // benchmark expectations and golden files record depend on the path.
 const celfMinBillboards = 400
 
-// planUsesCELF reports whether bestBillboardFor should route through the
-// gain cache for this plan. The impression-threshold check is a
+// usesCELF reports whether bestBillboardFor should route through the
+// gain cache for the plans of inst. The impression-threshold check is a
 // correctness requirement — k > 1 gains are not submodular — and applies
 // in every mode, as does the base-model check: a constrained model can
 // declare heap tops infeasible, and popping them would permanently lose
 // their entries (the heap only re-inserts on release), so non-base models
 // always take the full scan with its per-candidate CanAssign filter. The
 // size threshold is a performance heuristic and only applies in celfAuto.
-func planUsesCELF(p *Plan) bool {
-	if p.inst.Impressions() != 1 || !p.inst.base {
+func usesCELF(inst *Instance) bool {
+	if inst.Impressions() != 1 || !inst.base {
 		return false
 	}
 	switch celfMode {
@@ -339,7 +368,7 @@ func planUsesCELF(p *Plan) bool {
 	case celfForceOff:
 		return false
 	}
-	return p.inst.Universe().NumBillboards() >= celfMinBillboards
+	return inst.Universe().NumBillboards() >= celfMinBillboards
 }
 
 // bestBillboardCELF is the lazy-greedy implementation of bestBillboardFor:

@@ -22,9 +22,9 @@ import "sort"
 // identical billboard while evaluating far fewer marginal gains; small
 // universes keep the full scan (heap upkeep would cost more than it
 // saves), and the impression-count measure (k > 1) is not submodular and
-// always uses the scan. See planUsesCELF.
+// always uses the scan. See usesCELF.
 func bestBillboardFor(p *Plan, i int) (best int, ok bool) {
-	if planUsesCELF(p) {
+	if usesCELF(p.inst) {
 		return bestBillboardCELF(p, i)
 	}
 	p.stats.Rescans++

@@ -115,3 +115,16 @@ func BenchmarkRandomizedLocalSearchWorkers(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkRestartPoolCELF runs a 4-restart BLS on the corridor-compressed
+// 420-billboard instance of TestRestartPoolCELFWorkerInvariance, above the
+// CELF threshold, so every slot's greedy selects through gain vectors fed
+// by the incidence index. B/op shows how many indexes a solve builds.
+func BenchmarkRestartPoolCELF(b *testing.B) {
+	inst := compressedInstance(randomInstance(rng.New(4004), 1200, celfMinBillboards+20, 30, 6, 0.4, 0.5))
+	opts := LocalSearchOptions{Search: BillboardDriven, Restarts: 4, Seed: 11, Workers: 1}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		RandomizedLocalSearch(inst, opts)
+	}
+}

@@ -61,6 +61,11 @@ type warmOutcome struct {
 // depend only on seed and slot index), which keeps the reduction
 // deterministic at any worker count. Only slot 0's goroutine writes warm,
 // and the caller reads it after all slots finished.
+//
+// When the greedy selects through CELF heaps (usesCELF), every slot's plan
+// shares one incidence index, built by the first heap of any slot; each
+// slot drops its reference with the rest of its selection state, so the
+// index dies with the solve.
 func runRestarts(ctx context.Context, inst *Instance, opts LocalSearchOptions) (results, partials []*Plan, warm warmOutcome) {
 	jobs := opts.Restarts + 1
 	workers := opts.Workers
@@ -76,6 +81,10 @@ func runRestarts(ctx context.Context, inst *Instance, opts LocalSearchOptions) (
 	// so concurrent derivation by the workers is safe and yields the same
 	// substreams the serial loop would.
 	root := rng.New(opts.Seed)
+	var index *sharedIncidence
+	if usesCELF(inst) {
+		index = &sharedIncidence{}
+	}
 	results = make([]*Plan, jobs)
 	partials = make([]*Plan, jobs)
 
@@ -97,6 +106,9 @@ func runRestarts(ctx context.Context, inst *Instance, opts LocalSearchOptions) (
 			tr.RestartStart(job, time.Since(t0))
 		}
 		p := NewPlan(inst)
+		if index != nil {
+			p.shareIncidence(index)
+		}
 		var frozen []bool
 		if job == 0 && opts.WarmStart != nil {
 			if frozen = applyWarmStart(p, opts.WarmStart); frozen != nil {

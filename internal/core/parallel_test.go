@@ -79,10 +79,10 @@ func TestRandomizedLocalSearchAutoWorkers(t *testing.T) {
 
 // TestRestartPoolCELFWorkerInvariance runs the restart pool on a universe
 // above the auto-mode CELF threshold, corridor-compressed, so every slot's
-// greedy selects through its own heaps, gain vectors and incidence index
-// (built per plan and shared only with the plan's clones). Under -race it
-// checks that no selection state crosses goroutines; in any mode, workers 4
-// must reproduce the serial plans, regret, evals and cache counters.
+// greedy selects through its own heaps and gain vectors, fed by one
+// incidence index shared read-only across the solve's slots. Under -race it checks that no mutable selection state crosses
+// goroutines; in any mode, workers 4 must reproduce the serial plans,
+// regret, evals and cache counters.
 func TestRestartPoolCELFWorkerInvariance(t *testing.T) {
 	inst := compressedInstance(randomInstance(rng.New(4004), 1200, celfMinBillboards+20, 30, 6, 0.4, 0.5))
 	for _, kind := range []SearchKind{AdvertiserDriven, BillboardDriven} {

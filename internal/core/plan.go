@@ -276,9 +276,9 @@ func (p *Plan) Clone() *Plan {
 	for i, ctr := range p.counters {
 		c.counters[i] = ctr.Clone()
 	}
-	if p.cache != nil && p.cache.index != nil {
+	if p.cache != nil {
 		// The index is immutable: the clone's first heap need not rebuild it.
-		c.cache = &gainCache{adv: make([]*advGainCache, len(p.counters)), index: p.cache.index}
+		c.shareIncidence(p.cache.shared)
 	}
 	return c
 }

@@ -39,7 +39,7 @@ type CompressionStats struct {
 	// the compressed ID space.
 	Corridors int `json:"corridors"`
 	// Ratio is RawTrajectories / Corridors — how much smaller every
-	// per-ID array and bitset becomes (1 when nothing compressed).
+	// per-ID array becomes (1 when nothing compressed).
 	Ratio float64 `json:"compression_ratio"`
 }
 
@@ -55,31 +55,32 @@ func statsFor(raw, covered, corridors int) CompressionStats {
 }
 
 // Compress returns a corridor-compressed universe equivalent to u: same
-// billboards, same influence for every billboard set, but with trajectories
-// of identical coverage signature collapsed into single weighted corridor
-// IDs. A universe that is already compressed is returned unchanged.
+// billboards, same influence for every billboard set, but with coverage IDs
+// of identical signature collapsed into single corridor IDs whose weight is
+// the sum of their members' weights. A universe Compress itself returned is
+// returned unchanged.
 //
-// Corridor IDs are assigned in ascending order of each class's smallest raw
-// trajectory ID, so the result is deterministic and independent of internal
+// Corridor IDs are assigned in ascending order of each class's smallest
+// source ID, so the result is deterministic and independent of internal
 // grouping order.
 func Compress(u *Universe) (*Universe, CompressionStats) {
-	if u.weights != nil {
+	if u.compressed {
 		var covered int64
 		for _, w := range u.weights {
 			covered += int64(w)
 		}
-		return u, statsFor(u.numTrajectories, int(covered), u.numIDs)
+		return u, statsFor(u.numTrajectories, int(covered), len(u.weights))
 	}
 
 	// sig(t) = ascending billboard IDs covering t.
 	inc := u.Incidence()
-	n := u.numIDs
+	n := len(u.weights)
 	sigOf := inc.Billboards
 
-	// Group trajectories by signature: hash buckets, then exact
-	// verification inside each bucket so collisions can never merge two
-	// distinct signatures. Bucket members arrive in ascending trajectory
-	// order, so each class's first member is its smallest.
+	// Group IDs by signature: hash buckets, then exact verification inside
+	// each bucket so collisions can never merge two distinct signatures.
+	// Bucket members arrive in ascending ID order, so each class's first
+	// member is its smallest.
 	buckets := make(map[uint64][]int32, n)
 	covered := 0
 	for t := int32(0); int(t) < n; t++ {
@@ -87,14 +88,14 @@ func Compress(u *Universe) (*Universe, CompressionStats) {
 		if len(s) == 0 {
 			continue // uncovered: contributes to no influence, needs no ID
 		}
-		covered++
+		covered += u.Weight(t)
 		h := hashSignature(s)
 		buckets[h] = append(buckets[h], t)
 	}
 
 	type class struct {
-		rep     int32 // smallest member trajectory: the ID-order key
-		members int32
+		rep    int32 // smallest member ID: the corridor-ID order key
+		weight int32 // summed weight of the members
 	}
 	var classes []class
 	for _, bucket := range buckets {
@@ -103,16 +104,16 @@ func Compress(u *Universe) (*Universe, CompressionStats) {
 		for len(bucket) > 0 {
 			rep := bucket[0]
 			repSig := sigOf(rep)
-			members := int32(0)
+			weight := int32(0)
 			rest := bucket[:0]
 			for _, t := range bucket {
 				if slices.Equal(sigOf(t), repSig) {
-					members++
+					weight += u.weights[t]
 				} else {
 					rest = append(rest, t)
 				}
 			}
-			classes = append(classes, class{rep: rep, members: members})
+			classes = append(classes, class{rep: rep, weight: weight})
 			bucket = rest
 		}
 	}
@@ -132,7 +133,7 @@ func Compress(u *Universe) (*Universe, CompressionStats) {
 		newLists[b] = make(List, 0, newDeg[b])
 	}
 	for cid, cl := range classes {
-		weights[cid] = cl.members
+		weights[cid] = cl.weight
 		for _, b := range sigOf(cl.rep) {
 			newLists[b] = append(newLists[b], int32(cid))
 		}
@@ -142,6 +143,7 @@ func Compress(u *Universe) (*Universe, CompressionStats) {
 	if err != nil {
 		panic(fmt.Sprintf("coverage: Compress produced invalid universe: %v", err))
 	}
+	cu.compressed = true
 	// The compressed substrate must preserve every per-billboard influence
 	// exactly; a mismatch means the grouping above is wrong, and silently
 	// returning it would corrupt every downstream solve.

@@ -44,6 +44,45 @@ func TestCompressGroupsIdenticalSignatures(t *testing.T) {
 	}
 }
 
+// TestCompressMergesWeightedDuplicates compresses a universe that already
+// carries weights but has IDs with equal signatures: the duplicates must
+// merge into one corridor whose weight is the sum of theirs, not be
+// returned unchanged.
+func TestCompressMergesWeightedDuplicates(t *testing.T) {
+	// IDs 0 and 2 share signature {0,1}, IDs 1 and 3 share {1}; ID 4 is
+	// covered by nothing.
+	u, err := NewWeightedUniverse(20, []List{
+		{0, 2},       // billboard 0
+		{0, 1, 2, 3}, // billboard 1
+	}, []int32{2, 3, 5, 1, 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cu, stats := Compress(u)
+	if cu == u {
+		t.Fatal("weighted universe with duplicate signatures returned unchanged")
+	}
+	if stats.Corridors != 2 || stats.Covered != 11 || stats.RawTrajectories != 20 {
+		t.Fatalf("stats = %+v", stats)
+	}
+	for id, want := range []int{7, 4} {
+		if got := cu.Weight(int32(id)); got != want {
+			t.Errorf("Weight(%d) = %d, want %d", id, got, want)
+		}
+	}
+	for b, want := range []List{{0}, {0, 1}} {
+		if !slices.Equal(cu.List(b), want) {
+			t.Errorf("List(%d) = %v, want %v", b, cu.List(b), want)
+		}
+		if cu.Degree(b) != u.Degree(b) {
+			t.Errorf("Degree(%d) = %d, want %d", b, cu.Degree(b), u.Degree(b))
+		}
+	}
+	if got, want := cu.UnionCount([]int{0, 1}), u.UnionCount([]int{0, 1}); got != want || got != 11 {
+		t.Errorf("UnionCount = %d, want %d (= 11)", got, want)
+	}
+}
+
 func TestCompressPreservesAllInfluenceQuantities(t *testing.T) {
 	r := rng.New(20260807)
 	for trial := 0; trial < 25; trial++ {
@@ -179,8 +218,13 @@ func TestWeightedSubuniverseCarriesWeights(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !subComp.Weighted() {
-		t.Fatal("compressed subuniverse lost its weights")
+	if subComp.NumIDs() != cu.NumIDs() {
+		t.Fatalf("sub NumIDs = %d, want %d", subComp.NumIDs(), cu.NumIDs())
+	}
+	for id := int32(0); int(id) < cu.NumIDs(); id++ {
+		if subComp.Weight(id) != cu.Weight(id) {
+			t.Fatalf("sub Weight(%d) = %d, want %d", id, subComp.Weight(id), cu.Weight(id))
+		}
 	}
 	if subComp.MaxDegree() != subDense.MaxDegree() || subComp.TotalSupply() != subDense.TotalSupply() {
 		t.Fatalf("sub MaxDegree/TotalSupply: %d/%d != %d/%d",

@@ -12,16 +12,21 @@
 // because I(o,t) ∈ {0,1}. All four MROAM algorithms spend nearly all their
 // time asking "what does adding/removing/swapping one billboard do to I(S_i)?"
 // The Counter type answers those queries in O(deg(o)) by maintaining, for one
-// advertiser's set, a per-trajectory multiset count of how many assigned
-// billboards cover it.
+// advertiser's set, a per-ID multiset count of how many assigned billboards
+// cover it.
+//
+// I(S) counts how many trajectories a set covers, never which, so every
+// universe is weighted: a coverage ID stands for weight(id) ≥ 1 raw
+// trajectories with identical coverage. An uncompressed universe is the
+// unit-weight case, and Compress (corridor.go) merges identical-coverage
+// IDs into heavier ones. There is one substrate and one kernel loop per
+// Counter operation.
 package coverage
 
 import (
 	"fmt"
 	"slices"
 	"sort"
-
-	"repro/internal/bitset"
 )
 
 // List is the set of coverage IDs covered by one billboard, sorted
@@ -55,100 +60,81 @@ func (l List) Contains(id int32) bool {
 // with the trajectory count. It is immutable after construction and shared by
 // all Counters, algorithms and experiments that operate on the dataset.
 //
-// A universe may be corridor-compressed (see Compress): coverage IDs then
-// name corridors — groups of trajectories with identical coverage — and
-// weights[id] counts the trajectories collapsed into each. Every influence
-// quantity (Degree, MaxDegree, TotalSupply, UnionCount, Counter results) is
-// expressed in raw trajectories in both forms, so algorithms never need to
-// know which substrate they run on: the weighted sums are bit-identical to
-// the uncompressed answers by construction.
+// Coverage IDs carry weights: weights[id] counts the raw trajectories behind
+// each ID (1 everywhere in an uncompressed universe, the corridor size after
+// Compress). Every influence quantity (Degree, MaxDegree, TotalSupply,
+// UnionCount, Counter results) is a weighted sum and so expressed in raw
+// trajectories, which makes the answers bit-identical across compression by
+// construction: algorithms never need to know which form they run on.
 type Universe struct {
 	numTrajectories int // raw trajectory total |T|, the paper's universe size
-	numIDs          int // coverage ID space; == numTrajectories when unweighted
 	lists           []List
-	weights         []int32 // weights[id] ≥ 1, raw trajectories per ID; nil = all 1
-	degrees         []int   // weighted Degree per billboard; nil = len(lists[b])
+	weights         []int32 // weights[id] ≥ 1, raw trajectories per ID
+	degrees         []int   // weighted Degree per billboard
 	maxDegree       int
 	totalSupply     int64
+	compressed      bool // produced by Compress: no two IDs share a signature
 }
 
-// NewUniverse constructs a Universe over numTrajectories trajectories with
-// the given per-billboard coverage lists. It returns an error if any list is
-// unsorted, contains duplicates, or references a trajectory out of range.
+// NewUniverse constructs an uncompressed Universe over numTrajectories
+// trajectories with the given per-billboard coverage lists: every
+// trajectory is its own coverage ID of weight 1. It returns an error if any
+// list is unsorted, contains duplicates, or references a trajectory out of
+// range.
 func NewUniverse(numTrajectories int, lists []List) (*Universe, error) {
 	if numTrajectories < 0 {
 		return nil, fmt.Errorf("coverage: negative trajectory count %d", numTrajectories)
 	}
-	if err := validateLists(lists, numTrajectories); err != nil {
-		return nil, err
+	weights := make([]int32, numTrajectories)
+	for i := range weights {
+		weights[i] = 1
 	}
-	u := &Universe{numTrajectories: numTrajectories, numIDs: numTrajectories, lists: lists}
-	for _, l := range lists {
-		if len(l) > u.maxDegree {
-			u.maxDegree = len(l)
-		}
-		u.totalSupply += int64(len(l))
-	}
-	return u, nil
+	return NewWeightedUniverse(numTrajectories, lists, weights)
 }
 
-// NewWeightedUniverse constructs a corridor-compressed Universe: lists hold
-// corridor IDs in [0, len(weights)), and weights[id] is the number of raw
-// trajectories collapsed into corridor id. numTrajectories remains the raw
-// total (corridor weights need not sum to it — trajectories covered by no
-// billboard have no corridor). Influence accessors return weighted values.
+// NewWeightedUniverse constructs a Universe whose lists hold coverage IDs in
+// [0, len(weights)), and weights[id] is the number of raw trajectories
+// behind ID id. numTrajectories remains the raw total (weights need not sum
+// to it — trajectories covered by no billboard need no ID). Influence
+// accessors return weighted values.
 func NewWeightedUniverse(numTrajectories int, lists []List, weights []int32) (*Universe, error) {
 	if numTrajectories < 0 {
 		return nil, fmt.Errorf("coverage: negative trajectory count %d", numTrajectories)
 	}
-	if err := validateLists(lists, len(weights)); err != nil {
-		return nil, err
-	}
 	var sum int64
 	for id, w := range weights {
 		if w < 1 {
-			return nil, fmt.Errorf("coverage: corridor %d has weight %d < 1", id, w)
+			return nil, fmt.Errorf("coverage: ID %d has weight %d < 1", id, w)
 		}
 		sum += int64(w)
 	}
 	if sum > int64(numTrajectories) {
-		return nil, fmt.Errorf("coverage: corridor weights sum to %d, universe has %d trajectories", sum, numTrajectories)
+		return nil, fmt.Errorf("coverage: weights sum to %d, universe has %d trajectories", sum, numTrajectories)
 	}
 	u := &Universe{
 		numTrajectories: numTrajectories,
-		numIDs:          len(weights),
 		lists:           lists,
 		weights:         weights,
 		degrees:         make([]int, len(lists)),
 	}
+	// One pass per list both validates it (sorted, duplicate-free, IDs in
+	// range) and sums its weighted degree.
 	for b, l := range lists {
 		d := 0
-		for _, id := range l {
+		for i, id := range l {
+			if id < 0 || int(id) >= len(weights) {
+				return nil, fmt.Errorf("coverage: billboard %d covers ID %d, universe has %d", b, id, len(weights))
+			}
+			if i > 0 && l[i-1] >= id {
+				return nil, fmt.Errorf("coverage: billboard %d list unsorted or duplicated at index %d", b, i)
+			}
 			d += int(weights[id])
 		}
 		u.degrees[b] = d
-		if d > u.maxDegree {
-			u.maxDegree = d
-		}
+		u.maxDegree = max(u.maxDegree, d)
 		u.totalSupply += int64(d)
 	}
 	return u, nil
-}
-
-// validateLists checks every list is sorted, duplicate-free, and references
-// IDs inside [0, numIDs).
-func validateLists(lists []List, numIDs int) error {
-	for b, l := range lists {
-		for i, id := range l {
-			if id < 0 || int(id) >= numIDs {
-				return fmt.Errorf("coverage: billboard %d covers ID %d, universe has %d", b, id, numIDs)
-			}
-			if i > 0 && l[i-1] >= id {
-				return fmt.Errorf("coverage: billboard %d list unsorted or duplicated at index %d", b, i)
-			}
-		}
-	}
-	return nil
 }
 
 // MustUniverse is NewUniverse that panics on error, for tests and generators
@@ -166,21 +152,13 @@ func MustUniverse(numTrajectories int, lists []List) *Universe {
 func (u *Universe) NumTrajectories() int { return u.numTrajectories }
 
 // NumIDs returns the size of the coverage ID space: the value to size
-// per-ID scratch arrays and bitsets by. It equals NumTrajectories for an
+// per-ID scratch arrays by. It equals NumTrajectories for an
 // uncompressed universe and the corridor count for a compressed one.
-func (u *Universe) NumIDs() int { return u.numIDs }
-
-// Weighted reports whether the universe is corridor-compressed.
-func (u *Universe) Weighted() bool { return u.weights != nil }
+func (u *Universe) NumIDs() int { return len(u.weights) }
 
 // Weight returns the number of raw trajectories behind coverage ID id
 // (1 for every ID of an uncompressed universe).
-func (u *Universe) Weight(id int32) int {
-	if u.weights == nil {
-		return 1
-	}
-	return int(u.weights[id])
-}
+func (u *Universe) Weight(id int32) int { return int(u.weights[id]) }
 
 // NumBillboards returns the number of billboards in the universe.
 func (u *Universe) NumBillboards() int { return len(u.lists) }
@@ -191,12 +169,7 @@ func (u *Universe) List(b int) List { return u.lists[b] }
 
 // Degree returns |cover(b)| in raw trajectories — I({b}), the influence of
 // the single billboard — regardless of substrate.
-func (u *Universe) Degree(b int) int {
-	if u.degrees == nil {
-		return len(u.lists[b])
-	}
-	return u.degrees[b]
-}
+func (u *Universe) Degree(b int) int { return u.degrees[b] }
 
 // MaxDegree returns the largest single-billboard influence max_o I({o}),
 // precomputed at construction. The lazy-greedy selection uses it to decide
@@ -211,35 +184,7 @@ func (u *Universe) TotalSupply() int64 { return u.totalSupply }
 // UnionCount returns I(S) = |⋃_{b∈S} cover(b)| in raw trajectories,
 // computed from scratch. Counters are faster for incremental work; this is
 // the reference evaluator and the right tool for one-shot queries.
-func (u *Universe) UnionCount(billboards []int) int {
-	return u.WeightSum(u.UnionBitset(billboards))
-}
-
-// UnionBitset returns the union coverage of the given billboards as a dense
-// bitset sized to the universe's ID space. Use WeightSum to convert a set of
-// coverage IDs into raw trajectories.
-func (u *Universe) UnionBitset(billboards []int) *bitset.Set {
-	bs := bitset.New(u.numIDs)
-	for _, b := range billboards {
-		bs.SetIDs(u.lists[b])
-	}
-	return bs
-}
-
-// WeightSum returns the raw-trajectory total behind the set bits of bs,
-// which must be sized to the universe's ID space. For an uncompressed
-// universe this is bs.Count().
-func (u *Universe) WeightSum(bs *bitset.Set) int {
-	if u.weights == nil {
-		return bs.Count()
-	}
-	total := 0
-	bs.Range(func(id int) bool {
-		total += int(u.weights[id])
-		return true
-	})
-	return total
-}
+func (u *Universe) UnionCount(billboards []int) int { return u.UnionCountK(billboards, 1) }
 
 // Incidence is the inverse of a universe's coverage lists in CSR form: for
 // every coverage ID, the billboards covering it. It is immutable once built
@@ -253,7 +198,7 @@ type Incidence struct {
 // time and one int32 per list entry plus one int64 per ID of memory.
 // Iterating billboards in ascending order fills each row already sorted.
 func (u *Universe) Incidence() *Incidence {
-	n := u.numIDs
+	n := len(u.weights)
 	x := &Incidence{offsets: make([]int64, n+1)}
 	for _, l := range u.lists {
 		for _, t := range l {
@@ -285,6 +230,9 @@ func (x *Incidence) Billboards(id int32) []int32 {
 // or removing a billboard costs O(deg(b)); marginal-gain/loss queries cost
 // the same without mutating the set.
 //
+// Every loop weighs the IDs it counts, so the same code serves the
+// unit-weight and corridor-compressed forms of a universe.
+//
 // A Counter can also evaluate the impression-count influence measure of
 // Zhang et al., KDD 2019 ("Optimizing Impression Counts for Outdoor
 // Advertising"), which the paper cites as an orthogonal alternative (§2.2,
@@ -295,7 +243,7 @@ type Counter struct {
 	u       *Universe
 	k       int32   // impression threshold; 1 = plain union coverage
 	counts  []int32 // counts[id] = #{b ∈ S : b covers id}
-	w       []int32 // the universe's corridor weights; nil when unweighted
+	w       []int32 // the universe's weights
 	covered int     // Σ_{id : counts[id] >= k} weight(id); this is I_k(S)
 	member  []bool  // member[b] = b ∈ S
 	size    int     // |S|
@@ -321,7 +269,7 @@ func NewCounterWithThreshold(u *Universe, k int) *Counter {
 	return &Counter{
 		u:      u,
 		k:      int32(k),
-		counts: make([]int32, u.numIDs),
+		counts: make([]int32, len(u.weights)),
 		w:      u.weights,
 		member: make([]bool, len(u.lists)),
 	}
@@ -355,26 +303,12 @@ func (c *Counter) Members(dst []int) []int {
 }
 
 // Add inserts billboard b into the set. It panics if b is already a member.
-//
-// The unweighted loop is kept separate from the weighted one (here and in
-// Remove/Gain/Loss/SwapDelta): these are the innermost solver loops, and a
-// per-element weight lookup on the unit-weight substrate would cost a load
-// and branch per covered ID for nothing.
 func (c *Counter) Add(b int) {
 	if c.member[b] {
 		panic(fmt.Sprintf("coverage: Add(%d): already a member", b))
 	}
 	c.member[b] = true
 	c.size++
-	if c.w == nil {
-		for _, t := range c.u.lists[b] {
-			c.counts[t]++
-			if c.counts[t] == c.k {
-				c.covered++
-			}
-		}
-		return
-	}
 	for _, t := range c.u.lists[b] {
 		c.counts[t]++
 		if c.counts[t] == c.k {
@@ -390,15 +324,6 @@ func (c *Counter) Remove(b int) {
 	}
 	c.member[b] = false
 	c.size--
-	if c.w == nil {
-		for _, t := range c.u.lists[b] {
-			if c.counts[t] == c.k {
-				c.covered--
-			}
-			c.counts[t]--
-		}
-		return
-	}
 	for _, t := range c.u.lists[b] {
 		if c.counts[t] == c.k {
 			c.covered -= int(c.w[t])
@@ -415,14 +340,6 @@ func (c *Counter) Gain(b int) int {
 		panic(fmt.Sprintf("coverage: Gain(%d): already a member", b))
 	}
 	gain := 0
-	if c.w == nil {
-		for _, t := range c.u.lists[b] {
-			if c.counts[t] == c.k-1 {
-				gain++
-			}
-		}
-		return gain
-	}
 	for _, t := range c.u.lists[b] {
 		if c.counts[t] == c.k-1 {
 			gain += int(c.w[t])
@@ -438,14 +355,6 @@ func (c *Counter) Loss(b int) int {
 		panic(fmt.Sprintf("coverage: Loss(%d): not a member", b))
 	}
 	loss := 0
-	if c.w == nil {
-		for _, t := range c.u.lists[b] {
-			if c.counts[t] == c.k {
-				loss++
-			}
-		}
-		return loss
-	}
 	for _, t := range c.u.lists[b] {
 		if c.counts[t] == c.k {
 			loss += int(c.w[t])
@@ -475,13 +384,13 @@ func (c *Counter) SwapDelta(out, in int) int {
 		case j == len(inList) || (i < len(outList) && outList[i] < inList[j]):
 			// Covered by out only: loses an impression.
 			if t := outList[i]; c.counts[t] == c.k {
-				delta -= c.weight(t)
+				delta -= int(c.w[t])
 			}
 			i++
 		case i == len(outList) || inList[j] < outList[i]:
 			// Covered by in only: gains an impression.
 			if t := inList[j]; c.counts[t] == c.k-1 {
-				delta += c.weight(t)
+				delta += int(c.w[t])
 			}
 			j++
 		default:
@@ -491,14 +400,6 @@ func (c *Counter) SwapDelta(out, in int) int {
 		}
 	}
 	return delta
-}
-
-// weight returns the raw trajectories behind coverage ID t.
-func (c *Counter) weight(t int32) int {
-	if c.w == nil {
-		return 1
-	}
-	return int(c.w[t])
 }
 
 // Reset empties the set in O(Σ deg(member)).

@@ -84,10 +84,6 @@ func TestUniverseBasics(t *testing.T) {
 	if got := u.UnionCount(nil); got != 0 {
 		t.Errorf("UnionCount(nil) = %d", got)
 	}
-	bs := u.UnionBitset([]int{1, 2})
-	if bs.Count() != 2 || !bs.Test(2) || !bs.Test(3) {
-		t.Error("UnionBitset wrong")
-	}
 }
 
 func TestCounterAddRemove(t *testing.T) {
@@ -338,35 +334,46 @@ func TestCounterPropertyGainLossInverse(t *testing.T) {
 	}
 }
 
+// benchSubstrates runs fn as two sub-benchmarks: "raw", a 50k-trajectory
+// random universe at unit weights, and "corridor", its corridor compression
+// (the substrate every production solve runs on, with shorter lists and
+// weights above 1).
+func benchSubstrates(b *testing.B, fn func(b *testing.B, u *Universe)) {
+	raw := randomUniverse(rng.New(1), 50000, 500, 400)
+	corridor, _ := Compress(raw)
+	b.Run("raw", func(b *testing.B) { fn(b, raw) })
+	b.Run("corridor", func(b *testing.B) { fn(b, corridor) })
+}
+
 func BenchmarkCounterAddRemove(b *testing.B) {
-	r := rng.New(1)
-	u := randomUniverse(r, 50000, 500, 400)
-	c := NewCounter(u)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		bb := i % u.NumBillboards()
-		if c.Has(bb) {
-			c.Remove(bb)
-		} else {
-			c.Add(bb)
+	benchSubstrates(b, func(b *testing.B, u *Universe) {
+		c := NewCounter(u)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			bb := i % u.NumBillboards()
+			if c.Has(bb) {
+				c.Remove(bb)
+			} else {
+				c.Add(bb)
+			}
 		}
-	}
+	})
 }
 
 func BenchmarkCounterGain(b *testing.B) {
-	r := rng.New(1)
-	u := randomUniverse(r, 50000, 500, 400)
-	c := NewCounter(u)
-	for i := 0; i < 50; i++ {
-		c.Add(i * 7 % u.NumBillboards())
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		bb := i % u.NumBillboards()
-		if !c.Has(bb) {
-			_ = c.Gain(bb)
+	benchSubstrates(b, func(b *testing.B, u *Universe) {
+		c := NewCounter(u)
+		for i := 0; i < 50; i++ {
+			c.Add(i * 7 % u.NumBillboards())
 		}
-	}
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			bb := i % u.NumBillboards()
+			if !c.Has(bb) {
+				_ = c.Gain(bb)
+			}
+		}
+	})
 }
 
 // unionSink keeps BenchmarkUnionCount's result live.
@@ -456,20 +463,20 @@ func TestSwapDeltaMergeMatchesBinarySearch(t *testing.T) {
 }
 
 func BenchmarkSwapDelta(b *testing.B) {
-	r := rng.New(1)
-	u := randomUniverse(r, 50000, 500, 400)
-	c := NewCounter(u)
-	for i := 0; i < 50; i++ {
-		c.Add(i * 7 % u.NumBillboards())
-	}
-	out := 0 * 7 % u.NumBillboards()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		in := i % u.NumBillboards()
-		if !c.Has(in) {
-			_ = c.SwapDelta(out, in)
+	benchSubstrates(b, func(b *testing.B, u *Universe) {
+		c := NewCounter(u)
+		for i := 0; i < 50; i++ {
+			c.Add(i * 7 % u.NumBillboards())
 		}
-	}
+		out := 0 * 7 % u.NumBillboards()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			in := i % u.NumBillboards()
+			if !c.Has(in) {
+				_ = c.SwapDelta(out, in)
+			}
+		}
+	})
 }
 
 // BenchmarkNewList measures the coverage-list constructor on the

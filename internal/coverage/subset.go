@@ -10,18 +10,18 @@ import "fmt"
 // immutable) and exposes the kept billboards under dense IDs 0..len(keep)−1
 // in the order given. The trajectory universe is unchanged, so influences
 // computed in the subuniverse equal those in the original. The mapping from
-// sub-IDs back to original IDs is the keep slice itself.
+// sub-IDs back to original IDs is the keep slice itself. The weights are
+// shared too; dropping billboards can leave distinct IDs with equal
+// signatures, so the result is never marked compressed and Compress merges
+// such IDs again.
 func (u *Universe) Subuniverse(keep []int) (*Universe, error) {
 	lists := make([]List, len(keep))
 	seen := make(map[int]bool, len(keep))
 	sub := &Universe{
 		numTrajectories: u.numTrajectories,
-		numIDs:          u.numIDs,
 		lists:           lists,
 		weights:         u.weights,
-	}
-	if u.degrees != nil {
-		sub.degrees = make([]int, len(keep))
+		degrees:         make([]int, len(keep)),
 	}
 	for i, b := range keep {
 		if b < 0 || b >= len(u.lists) {
@@ -32,13 +32,9 @@ func (u *Universe) Subuniverse(keep []int) (*Universe, error) {
 		}
 		seen[b] = true
 		lists[i] = u.lists[b]
-		d := u.Degree(b)
-		if sub.degrees != nil {
-			sub.degrees[i] = d
-		}
-		if d > sub.maxDegree {
-			sub.maxDegree = d
-		}
+		d := u.degrees[b]
+		sub.degrees[i] = d
+		sub.maxDegree = max(sub.maxDegree, d)
 		sub.totalSupply += int64(d)
 	}
 	return sub, nil

@@ -9,7 +9,10 @@ import (
 
 // decodeSwapCase deterministically builds a universe, a counter state and a
 // swap (out, in) pair from fuzz bytes. Returns ok=false when the bytes
-// cannot yield a legal swap (no member or no non-member).
+// cannot yield a legal swap (no member or no non-member). Each ID's weight,
+// 1 + v>>5 for a list byte v picked by the ID, is drawn from the same
+// bytes: inputs whose list bytes stay below 32 keep unit weights, larger
+// bytes give corridor weights up to 8.
 func decodeSwapCase(data []byte) (c *Counter, out, in int, ok bool) {
 	if len(data) < 4 {
 		return nil, 0, 0, false
@@ -27,7 +30,20 @@ func decodeSwapCase(data []byte) (c *Counter, out, in int, ok bool) {
 	for b := range lists {
 		lists[b] = NewList(raw[b])
 	}
-	c = NewCounterWithThreshold(MustUniverse(nTraj, lists), k)
+	weights := make([]int32, nTraj)
+	sum := 0
+	for id := range weights {
+		weights[id] = 1
+		if body := data[4:]; len(body) > 0 {
+			weights[id] += int32(body[id%len(body)] >> 5)
+		}
+		sum += int(weights[id])
+	}
+	u, err := NewWeightedUniverse(sum, lists, weights)
+	if err != nil {
+		panic(err)
+	}
+	c = NewCounterWithThreshold(u, k)
 	var members, rest []int
 	for b := 0; b < nBB; b++ {
 		if memberMask>>uint(b)&1 == 1 {
@@ -44,9 +60,9 @@ func decodeSwapCase(data []byte) (c *Counter, out, in int, ok bool) {
 }
 
 // FuzzSwapDeltaMerge cross-checks Counter.SwapDelta's linear merge walk
-// against two independent oracles on fuzz-built universes and thresholds:
-// a binary-search formulation (List.Contains, skipping shared
-// trajectories) and the ground truth of mutating a cloned counter. The
+// against two independent oracles on fuzz-built weighted universes and
+// thresholds: a binary-search formulation (List.Contains, skipping shared
+// IDs) and the ground truth of mutating a cloned counter. The
 // query must also leave the counter untouched.
 func FuzzSwapDeltaMerge(f *testing.F) {
 	for _, seed := range swapDeltaSeeds() {
@@ -60,16 +76,18 @@ func FuzzSwapDeltaMerge(f *testing.F) {
 		before := c.Covered()
 		got := c.SwapDelta(out, in)
 
-		// Oracle 1: per-trajectory binary search, skipping trajectories
-		// covered by both billboards (their impression count is unchanged).
-		outList, inList := c.Universe().List(out), c.Universe().List(in)
+		// Oracle 1: per-ID binary search, skipping IDs covered by both
+		// billboards (their impression count is unchanged), each ID
+		// counted at its weight.
+		u := c.Universe()
+		outList, inList := u.List(out), u.List(in)
 		want := 0
 		for _, tr := range outList {
 			if inList.Contains(tr) {
 				continue
 			}
 			if c.counts[tr] == c.k {
-				want--
+				want -= u.Weight(tr)
 			}
 		}
 		for _, tr := range inList {
@@ -77,7 +95,7 @@ func FuzzSwapDeltaMerge(f *testing.F) {
 				continue
 			}
 			if c.counts[tr] == c.k-1 {
-				want++
+				want += u.Weight(tr)
 			}
 		}
 		if got != want {
@@ -102,8 +120,8 @@ func FuzzSwapDeltaMerge(f *testing.F) {
 }
 
 // swapDeltaSeeds hand-picks inputs that exercise every merge-walk branch:
-// disjoint lists, identical lists, partial overlap, k>1, and tails where
-// one list outlives the other.
+// disjoint lists, identical lists, partial overlap, k>1, tails where one
+// list outlives the other, and IDs weighted above 1.
 func swapDeltaSeeds() [][]byte {
 	return [][]byte{
 		// nTraj=11, k=1, members={0}, swap 0 for 1; disjoint short lists.
@@ -116,6 +134,10 @@ func swapDeltaSeeds() [][]byte {
 		{40, 0, 0x01, 0x00, 1, 5, 9, 13, 17, 21, 25, 29, 33, 37, 2, 6},
 		// Everything assigned except one billboard; k=3.
 		{30, 2, 0x3e, 0x21, 8, 8, 8, 8, 8, 16, 16, 16, 16, 16, 24, 24},
+		// Corridor weights 2–8 on every ID; k=1.
+		{12, 0, 0x01, 0x00, 40, 65, 200, 97, 130, 255, 33, 70},
+		// Corridor weights with k=2 and heavy overlap across members.
+		{20, 1, 0x07, 0x10, 64, 64, 64, 96, 96, 96, 160, 160, 160, 64, 96, 160},
 	}
 }
 

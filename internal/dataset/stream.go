@@ -2,12 +2,11 @@ package dataset
 
 import (
 	"fmt"
-	"runtime"
-	"sync"
 
 	"repro/internal/billboard"
 	"repro/internal/coverage"
 	"repro/internal/geo"
+	"repro/internal/influence"
 	"repro/internal/rng"
 	"repro/internal/trajectory"
 )
@@ -56,9 +55,6 @@ type StreamOptions struct {
 	// ChunkSize is the number of trajectories generated and joined per
 	// chunk; 0 selects 100000.
 	ChunkSize int
-	// Parallelism bounds concurrent per-billboard join workers within a
-	// chunk; 0 selects GOMAXPROCS.
-	Parallelism int
 }
 
 // Streamed is the result of a streaming build: the coverage universe and
@@ -94,10 +90,6 @@ func GenerateUniverse(c Config, opts StreamOptions) (*Streamed, error) {
 	chunk := opts.ChunkSize
 	if chunk <= 0 {
 		chunk = 100_000
-	}
-	workers := opts.Parallelism
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
 	}
 	// Mirror influence.BuildCoverage's default cell size so the chunk-local
 	// grids probe identical neighborhoods.
@@ -157,34 +149,11 @@ func GenerateUniverse(c Config, opts StreamOptions) (*Streamed, error) {
 		}
 		stats.Count += n
 
-		index := geo.NewGrid(points, cell)
-		var wg sync.WaitGroup
-		jobs := make(chan int)
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				buf := make([]int32, 0, 1024)
-				ids := make([]int32, 0, 256)
-				for b := range jobs {
-					buf = index.Within(bdb.At(b).Loc, opts.Lambda, buf[:0])
-					ids = ids[:0]
-					for _, pi := range buf {
-						ids = append(ids, owner[pi])
-					}
-					// Chunk trip IDs all exceed every earlier chunk's, so
-					// appending the sorted chunk list keeps the billboard's
-					// full list sorted and duplicate-free.
-					chunkList := coverage.NewList(append([]int32(nil), ids...))
-					lists[b] = append(lists[b], chunkList...)
-				}
-			}()
-		}
-		for b := 0; b < bdb.Len(); b++ {
-			jobs <- b
-		}
-		close(jobs)
-		wg.Wait()
+		// Chunk trip IDs all exceed every earlier chunk's, so appending
+		// each sorted chunk list keeps a billboard's full list sorted and
+		// duplicate-free.
+		influence.JoinBillboards(geo.NewGrid(points, cell), owner, bdb, opts.Lambda, 0, nil,
+			func(b int, l coverage.List) { lists[b] = append(lists[b], l...) })
 	}
 	if stats.Count > 0 {
 		stats.AvgDistanceM = sumDist / float64(stats.Count)

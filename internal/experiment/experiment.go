@@ -157,8 +157,10 @@ func (r *Runner) Dataset(city dataset.City) (*dataset.Dataset, error) {
 	return d, nil
 }
 
-// Universe returns the coverage universe for (city, λ), building it on
-// first use.
+// Universe returns the corridor-compressed coverage universe for
+// (city, λ), building it on first use. Like catalog.Build, the harness
+// solves on the compressed substrate; every influence quantity, and so
+// every figure, is identical to the raw universe's.
 func (r *Runner) Universe(city dataset.City, lambda float64) (*coverage.Universe, error) {
 	key := universeKey{city, lambda}
 	if u, ok := r.universes[key]; ok {
@@ -172,8 +174,9 @@ func (r *Runner) Universe(city dataset.City, lambda float64) (*coverage.Universe
 	if err != nil {
 		return nil, err
 	}
-	r.universes[key] = u
-	return u, nil
+	cu, _ := coverage.Compress(u)
+	r.universes[key] = cu
+	return cu, nil
 }
 
 // instance builds the MROAM instance for one parameter setting. The market

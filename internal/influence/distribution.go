@@ -3,7 +3,6 @@ package influence
 import (
 	"sort"
 
-	"repro/internal/bitset"
 	"repro/internal/coverage"
 )
 
@@ -47,14 +46,14 @@ func ImpressionCurve(u *coverage.Universe, fractions []float64) []float64 {
 		return out
 	}
 	// Evaluate incrementally: fractions are processed in ascending order
-	// via an index sort, reusing one accumulating bitset.
+	// via an index sort, growing one Counter.
 	idx := make([]int, len(fractions))
 	for i := range idx {
 		idx[i] = i
 	}
 	sort.Slice(idx, func(a, b int) bool { return fractions[idx[a]] < fractions[idx[b]] })
 
-	bs := bitset.New(u.NumIDs())
+	c := coverage.NewCounter(u)
 	taken := 0
 	total := float64(u.NumTrajectories())
 	for _, fi := range idx {
@@ -63,10 +62,10 @@ func ImpressionCurve(u *coverage.Universe, fractions []float64) []float64 {
 			want = len(order)
 		}
 		for taken < want {
-			bs.SetIDs(u.List(order[taken]))
+			c.Add(order[taken])
 			taken++
 		}
-		out[fi] = float64(u.WeightSum(bs)) / total
+		out[fi] = float64(c.Covered()) / total
 	}
 	return out
 }

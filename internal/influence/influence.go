@@ -84,15 +84,8 @@ func BuildCoverage(tdb *trajectory.DB, bdb *billboard.DB, opts Options) (*covera
 	if opts.SlotsPerDay < 0 {
 		return nil, fmt.Errorf("influence: slots per day %d must be non-negative", opts.SlotsPerDay)
 	}
-	workers := opts.Parallelism
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-
 	points, owner := tdb.AllPoints()
-	var index interface {
-		Within(q geo.Point, r float64, dst []int32) []int32
-	}
+	var index PointIndex
 	switch opts.Index {
 	case GridIndex:
 		index = geo.NewGrid(points, cell)
@@ -121,7 +114,35 @@ func BuildCoverage(tdb *trajectory.DB, bdb *billboard.DB, opts Options) (*covera
 		}
 	}
 
+	var keep func(bb *billboard.Billboard, point int32) bool
+	if pointTime != nil {
+		keep = func(bb *billboard.Billboard, point int32) bool {
+			return bb.Kind != billboard.DigitalSlot ||
+				slotOf(pointTime[point], opts.SlotsPerDay) == int(bb.Slot)%opts.SlotsPerDay
+		}
+	}
 	lists := make([]coverage.List, bdb.Len())
+	JoinBillboards(index, owner, bdb, opts.Lambda, opts.Parallelism, keep,
+		func(b int, l coverage.List) { lists[b] = l })
+	return coverage.NewUniverse(tdb.Len(), lists)
+}
+
+// PointIndex is a spatial index over trajectory points: Within appends to
+// dst the indices of the points within r meters of q.
+type PointIndex interface {
+	Within(q geo.Point, r float64, dst []int32) []int32
+}
+
+// JoinBillboards runs the radius-λ join of every billboard of bdb against
+// index, on workers goroutines (0 selects GOMAXPROCS). owner maps a point
+// index to its trajectory ID, and keep, when non-nil, drops the points it
+// rejects. emit receives each billboard's sorted, duplicate-free trajectory
+// list in fresh storage; it runs concurrently, once per billboard.
+func JoinBillboards(index PointIndex, owner []int32, bdb *billboard.DB, lambda float64, workers int,
+	keep func(bb *billboard.Billboard, point int32) bool, emit func(b int, l coverage.List)) {
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
 	var wg sync.WaitGroup
 	jobs := make(chan int)
 	for w := 0; w < workers; w++ {
@@ -132,17 +153,14 @@ func BuildCoverage(tdb *trajectory.DB, bdb *billboard.DB, opts Options) (*covera
 			ids := make([]int32, 0, 256)
 			for b := range jobs {
 				bb := bdb.At(b)
-				buf = index.Within(bb.Loc, opts.Lambda, buf[:0])
+				buf = index.Within(bb.Loc, lambda, buf[:0])
 				ids = ids[:0]
 				for _, pi := range buf {
-					if pointTime != nil && bb.Kind == billboard.DigitalSlot {
-						if slotOf(pointTime[pi], opts.SlotsPerDay) != int(bb.Slot)%opts.SlotsPerDay {
-							continue
-						}
+					if keep == nil || keep(bb, pi) {
+						ids = append(ids, owner[pi])
 					}
-					ids = append(ids, owner[pi])
 				}
-				lists[b] = coverage.NewList(append([]int32(nil), ids...))
+				emit(b, coverage.NewList(append([]int32(nil), ids...)))
 			}
 		}()
 	}
@@ -151,8 +169,6 @@ func BuildCoverage(tdb *trajectory.DB, bdb *billboard.DB, opts Options) (*covera
 	}
 	close(jobs)
 	wg.Wait()
-
-	return coverage.NewUniverse(tdb.Len(), lists)
 }
 
 // slotOf returns the slot index of a second-of-day under the given division
